@@ -22,12 +22,15 @@
 //! global top-k can ever be pruned. The router re-verifies the claim at
 //! runtime instead of trusting it: `et_mismatches` counts (a) pruned
 //! evaluations whose recorded true distance was below the threshold in
-//! force, (b) pruned evaluations whose id nevertheless appears in the
-//! final merged top-k, and (c) any divergence between the merged result
-//! over visited shards and the reference merge over *all* shards.
+//! force, (b) base-layer or list-scan evaluations that were pruned yet
+//! whose id appears in the final merged top-k, and (c) any divergence
+//! between the merged result over visited shards and the reference merge
+//! over *all* shards. Check (b) skips upper-layer hops: greedy descent
+//! prunes against the current best distance, so the base layer may later
+//! accept the same vector legitimately.
 
 use ansmet_core::{EtEngine, EtScratch};
-use ansmet_index::Neighbor;
+use ansmet_index::{HopKind, Neighbor};
 use ansmet_obs::{EventKind, TraceSink};
 use ansmet_serve::FALLBACK_CYCLES_PER_LINE;
 use ansmet_sim::EventWheel;
@@ -367,7 +370,11 @@ impl<'a> Router<'a> {
                             &mut self.scratch,
                         );
                         let with_bound = cost.total_lines() as u64;
-                        let independent = if tightened {
+                        // The bound sequence does not depend on the
+                        // threshold, so an evaluation the tightened
+                        // threshold did not prune costs the same at the
+                        // looser trace threshold.
+                        let independent = if tightened && cost.pruned {
                             self.engines[s]
                                 .evaluate_with(eval.id, query, eval.threshold, &mut self.scratch)
                                 .total_lines() as u64
@@ -380,7 +387,11 @@ impl<'a> Router<'a> {
                         out.ndp_lines_independent += independent;
                         if cost.pruned {
                             out.pruned_evals += 1;
-                            pruned_ids.push(shard.global_id(eval.id));
+                            // Only final-result hops feed check (b)
+                            // (see the module docs).
+                            if matches!(hop.kind, HopKind::BaseLayer | HopKind::ListScan) {
+                                pruned_ids.push(shard.global_id(eval.id));
+                            }
                             // Soundness (a): a pruned comparison's true
                             // distance must be at or above the
                             // threshold that was in force.
@@ -539,6 +550,20 @@ mod tests {
                 (0..set.len()).map(|s| set.shard_partial(s, qi)).collect();
             assert_eq!(*m, merge_partials(set.k, &all));
             assert_eq!(m.len(), set.k);
+        }
+    }
+
+    #[test]
+    fn upper_layer_prunes_never_count_as_mismatches() {
+        // Greedy upper-layer descent prunes against the current best, so
+        // a vector it prunes can legitimately enter the base layer's
+        // result. This configuration has such a vector; it must not
+        // count toward check (b).
+        let (data, queries) = SynthSpec::sift().scaled(1_000, 32).with_seed(7).generate();
+        for (shards, policy) in [(4, RoutingPolicy::Hash), (8, RoutingPolicy::KMeans)] {
+            let set = ShardSet::build(&data, &queries, 10, 40, shards, policy, 7);
+            let (stats, _) = route_all(&set, &mut ClusterFleet::healthy(shards));
+            assert_eq!(stats.et_mismatches, 0, "{shards} {policy:?} shards");
         }
     }
 

@@ -5,9 +5,8 @@ use std::collections::HashMap;
 
 use ansmet_vecdata::Dataset;
 
-use crate::bound::DistanceBounder;
 use crate::encode::to_sortable;
-use crate::interval::ValueInterval;
+use crate::kernel::{dispatch, element, missing_mask, Bound, Elem};
 
 /// Shannon entropy (bits) of the top-`p`-bit prefix patterns, pooled over
 /// all elements of the sampled vectors, for every `p` in `1..=bits`.
@@ -59,35 +58,32 @@ pub fn normalized_prefix_entropy_profile(data: &Dataset, sample_ids: &[usize]) -
 /// All dimensions use the same prefix length `p`, matching the paper's
 /// uniform fetch pattern across dimensions. The bound is monotone in `p`,
 /// so a binary search finds the position in `O(log bits)` bound
-/// evaluations.
+/// evaluations, each one pass of the engine's element kernel over the
+/// stored vector.
 pub fn first_termination_position(
     data: &Dataset,
     id: usize,
     query: &[f32],
     threshold: f32,
 ) -> Option<u32> {
-    let dtype = data.dtype();
-    let bits = dtype.bits();
-    let bounder = DistanceBounder::new(data.metric());
-    let sortable: Vec<u32> = data
-        .raw_vector(id)
-        .iter()
-        .map(|&r| to_sortable(dtype, r))
-        .collect();
+    let raw = data.raw_vector(id);
+    dispatch!(data.dtype(), data.metric(), E, M => {
+        first_termination::<E, M>(raw, query, threshold)
+    })
+}
+
+fn first_termination<E: Elem, M: Bound>(raw: &[u32], query: &[f32], threshold: f32) -> Option<u32> {
     let bound_at = |p: u32| -> f64 {
-        sortable
-            .iter()
+        let ones = missing_mask(E::BITS, p);
+        raw.iter()
             .zip(query)
-            .map(|(&s, &q)| {
-                let prefix = if p == 0 { 0 } else { s >> (bits - p) };
-                bounder.contribution(ValueInterval::from_prefix(dtype, prefix, p), q)
-            })
+            .map(|(&r, &q)| element::<E, M>(E::sortable(r), ones, q))
             .sum()
     };
-    if bound_at(bits) < threshold as f64 {
+    if bound_at(E::BITS) < threshold as f64 {
         return None;
     }
-    let (mut lo, mut hi) = (0u32, bits); // bound_at(hi) >= threshold
+    let (mut lo, mut hi) = (0u32, E::BITS); // bound_at(hi) >= threshold
     while lo < hi {
         let mid = (lo + hi) / 2;
         if bound_at(mid) >= threshold as f64 {
@@ -127,6 +123,8 @@ pub fn et_frequency_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bound::DistanceBounder;
+    use crate::interval::ValueInterval;
     use ansmet_vecdata::{ElemType, Metric, SynthSpec};
 
     #[test]

@@ -13,11 +13,12 @@
 //! uncompressed backup when common-prefix elimination dropped outlier
 //! bits).
 
+use std::ops::Range;
+
 use ansmet_vecdata::Dataset;
 
-use crate::bound::DistanceBounder;
 use crate::encode::to_sortable;
-use crate::interval::ValueInterval;
+use crate::kernel::{dispatch, element, missing_mask, Bound, Elem};
 use crate::observe::{EtObserver, NoopEtObserver};
 use crate::prefix::PrefixSpec;
 use crate::schedule::{FetchSchedule, LinePlan};
@@ -140,7 +141,7 @@ fn sum4(xs: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// Per-vector precomputed prefix-elimination state.
+/// Per-vector format class under prefix elimination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VectorClass {
     /// No prefix elimination configured.
@@ -152,73 +153,54 @@ enum VectorClass {
 }
 
 /// The early-termination evaluation engine for one dataset + config.
+///
+/// The engine keeps no per-element data: each comparison decodes element
+/// intervals straight from [`Dataset::raw_vector`] as its lines arrive.
+/// Building one costs the line plan plus, under prefix elimination, one
+/// class byte per vector.
 #[derive(Debug)]
 pub struct EtEngine<'a> {
     data: &'a Dataset,
     cfg: EtConfig,
-    bounder: DistanceBounder,
-    /// Sortable encodings, vector-major.
-    sortable: Vec<u32>,
     /// Full-vector line plan.
     plan: Vec<LinePlan>,
     /// Cumulative payload bits per schedule step (hoisted out of the
     /// per-comparison hot path).
     cumulative: Vec<u32>,
-    /// Per-vector format class.
-    class: Vec<VectorClass>,
-    /// Per-element matched prefix length (only for outlier vectors).
-    matched: Vec<u32>,
+    /// Per-vector format class; empty without prefix elimination, where
+    /// every vector is [`VectorClass::Plain`].
+    classes: Vec<VectorClass>,
 }
 
 impl<'a> EtEngine<'a> {
-    /// Build the engine (precomputes sortable encodings and vector
-    /// classification).
+    /// Build the engine (precomputes the line plan and, under prefix
+    /// elimination, each vector's format class).
     pub fn new(data: &'a Dataset, cfg: EtConfig) -> Self {
         let dtype = data.dtype();
-        let dim = data.dim();
-        let n = data.len();
-        let mut sortable = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            for &raw in data.raw_vector(i) {
-                sortable.push(to_sortable(dtype, raw));
-            }
-        }
-        let (class, matched) = match &cfg.prefix {
-            None => (vec![VectorClass::Plain; n], Vec::new()),
-            Some(spec) if spec.is_disabled() => (vec![VectorClass::Plain; n], Vec::new()),
-            Some(spec) => {
-                let mut class = Vec::with_capacity(n);
-                let mut matched = vec![0u32; n * dim];
-                for i in 0..n {
-                    let mut has_outlier = false;
-                    for d in 0..dim {
-                        let m = spec.matched_len(d, sortable[i * dim + d]);
-                        matched[i * dim + d] = m;
-                        if m < spec.len() {
-                            has_outlier = true;
-                        }
-                    }
-                    class.push(if has_outlier {
+        let classes = match &cfg.prefix {
+            Some(spec) if !spec.is_disabled() => (0..data.len())
+                .map(|id| {
+                    let outlier =
+                        data.raw_vector(id).iter().enumerate().any(|(d, &raw)| {
+                            spec.matched_len(d, to_sortable(dtype, raw)) < spec.len()
+                        });
+                    if outlier {
                         VectorClass::Outlier
                     } else {
                         VectorClass::Normal
-                    });
-                }
-                (class, matched)
-            }
+                    }
+                })
+                .collect(),
+            _ => Vec::new(),
         };
-        let plan = cfg.schedule.line_plan(dim);
+        let plan = cfg.schedule.line_plan(data.dim());
         let cumulative = cfg.schedule.cumulative_bits();
-        let bounder = DistanceBounder::new(data.metric());
         EtEngine {
             data,
             cfg,
-            bounder,
-            sortable,
             plan,
             cumulative,
-            class,
-            matched,
+            classes,
         }
     }
 
@@ -242,51 +224,21 @@ impl<'a> EtEngine<'a> {
         self.data.vector_lines()
     }
 
-    /// Effective known prefix length of element `(id, d)` after
-    /// `payload_bits` of its stored payload have been fetched. The
-    /// vector's format class is passed in (hoisted once per comparison
-    /// instead of re-read per element).
-    fn known_prefix_for(&self, class: VectorClass, id: usize, d: usize, payload_bits: u32) -> u32 {
-        let bits = self.data.dtype().bits();
-        match class {
-            VectorClass::Plain => payload_bits.min(bits),
-            VectorClass::Normal => {
-                let prefix = self.cfg.prefix.as_ref().expect("normal implies prefix");
-                (prefix.len() + payload_bits).min(bits)
-            }
-            VectorClass::Outlier => {
-                let prefix = self.cfg.prefix.as_ref().expect("outlier implies prefix");
-                let m = self.matched[id * self.data.dim() + d];
-                let meta = prefix.outlier_meta_bits();
-                if m == prefix.len() {
-                    // Normal element inside an outlier vector: one 01Elm
-                    // flag bit precedes the payload.
-                    (prefix.len() + payload_bits.saturating_sub(1)).min(bits)
-                } else {
-                    // Outlier element: metadata precedes payload; stored
-                    // bits resume at the mismatch position. The lowest
-                    // bits are dropped (the interval stays conservative).
-                    let payload_cap = (bits - prefix.len()).saturating_sub(meta);
-                    let usable = payload_bits.saturating_sub(meta).min(payload_cap);
-                    (m + usable).min(bits)
-                }
-            }
+    fn class(&self, id: usize) -> VectorClass {
+        if self.classes.is_empty() {
+            VectorClass::Plain
+        } else {
+            self.classes[id]
         }
     }
 
-    fn interval(&self, id: usize, d: usize, known: u32) -> ValueInterval {
-        let dtype = self.data.dtype();
-        let bits = dtype.bits();
-        let s = self.sortable[id * self.data.dim() + d];
-        let prefix = if known == 0 { 0 } else { s >> (bits - known) };
-        ValueInterval::from_prefix(dtype, prefix, known)
-    }
-
-    /// Whether the fully-fetched compressed form of vector `id` is exact
-    /// (false only for outlier vectors, whose dropped bits require the
-    /// backup re-check).
-    fn fully_exact(&self, id: usize) -> bool {
-        self.class[id] != VectorClass::Outlier
+    /// Known prefix length of every element of a plain or normal vector
+    /// after `payload_bits` of its stored payload have been fetched.
+    fn uniform_known(&self, class: VectorClass, payload_bits: u32, bits: u32) -> u32 {
+        match (class, &self.cfg.prefix) {
+            (VectorClass::Normal, Some(prefix)) => (prefix.len() + payload_bits).min(bits),
+            _ => payload_bits.min(bits),
+        }
     }
 
     /// Evaluate one comparison over the full vector.
@@ -347,7 +299,7 @@ impl<'a> EtEngine<'a> {
         &self,
         id: usize,
         query: &[f32],
-        dims: std::ops::Range<usize>,
+        dims: Range<usize>,
         threshold: f32,
     ) -> Result<EvalCost, crate::EtError> {
         self.evaluate_range_with(id, query, dims, threshold, &mut EtScratch::new())
@@ -364,7 +316,7 @@ impl<'a> EtEngine<'a> {
         &self,
         id: usize,
         query: &[f32],
-        dims: std::ops::Range<usize>,
+        dims: Range<usize>,
         threshold: f32,
         scratch: &mut EtScratch,
     ) -> Result<EvalCost, crate::EtError> {
@@ -384,7 +336,7 @@ impl<'a> EtEngine<'a> {
         &self,
         id: usize,
         query: &[f32],
-        dims: std::ops::Range<usize>,
+        dims: Range<usize>,
         threshold: f32,
         scratch: &mut EtScratch,
         obs: &mut O,
@@ -399,9 +351,33 @@ impl<'a> EtEngine<'a> {
         if dims.end > dim {
             return Err(crate::EtError::RangeOutOfBounds { end: dims.end, dim });
         }
+        // A reversed range is empty.
+        let dims = dims.start.min(dims.end)..dims.end;
+        Ok(dispatch!(self.data.dtype(), self.data.metric(), E, M => {
+            self.evaluate_kernel::<E, M, O>(id, query, dims, threshold, scratch, obs)
+        }))
+    }
+
+    /// One comparison, monomorphized for the dataset's element type and
+    /// metric (see [`crate::kernel`]).
+    fn evaluate_kernel<E: Elem, M: Bound, O: EtObserver>(
+        &self,
+        id: usize,
+        query: &[f32],
+        dims: Range<usize>,
+        threshold: f32,
+        scratch: &mut EtScratch,
+        obs: &mut O,
+    ) -> EvalCost {
         let sub = dims.len();
-        let full = dims.len() == dim;
-        let class = self.class[id];
+        let full = sub == self.data.dim();
+        let class = self.class(id);
+        let outlier_spec = match class {
+            VectorClass::Outlier => self.cfg.prefix.as_ref(),
+            _ => None,
+        };
+        let raw = &self.data.raw_vector(id)[dims.clone()];
+        let query_sub = &query[dims.clone()];
         let EtScratch { contribs, subplan } = scratch;
 
         // Line plan: the transformed layout of the sub-vector only.
@@ -417,17 +393,15 @@ impl<'a> EtEngine<'a> {
         // counted separately so incremental updates stay well-defined.
         contribs.clear();
         contribs.resize(sub, 0.0);
-        let mut unbounded = 0usize;
-        for (j, d) in dims.clone().enumerate() {
-            let known = self.known_prefix_for(class, id, d, 0);
-            let c = self
-                .bounder
-                .contribution(self.interval(id, d, known), query[d]);
-            contribs[j] = c;
-            if c == f64::NEG_INFINITY {
-                unbounded += 1;
+        let mut unbounded = match outlier_spec {
+            Some(spec) => init_contribs::<E, M>(raw, query_sub, contribs, |j, s| {
+                missing_mask(E::BITS, outlier_known(spec, dims.start + j, s, 0, E::BITS))
+            }),
+            None => {
+                let ones = missing_mask(E::BITS, self.uniform_known(class, 0, E::BITS));
+                init_contribs::<E, M>(raw, query_sub, contribs, |_, _| ones)
             }
-        }
+        };
         // Blocked 4-wide reduction of the finite contributions.
         let mut finite_sum = if unbounded == 0 {
             sum4(contribs)
@@ -447,14 +421,14 @@ impl<'a> EtEngine<'a> {
         let mut bound = bound_of(unbounded, finite_sum);
         if bound >= threshold as f64 {
             obs.terminated(0, plan.len());
-            return Ok(EvalCost {
+            return EvalCost {
                 lines: 0,
                 backup_lines: 0,
                 pruned: true,
                 distance: None,
                 approx_distance: None,
                 final_bound: bound,
-            });
+            };
         }
 
         // Fetch line by line, refining each covered dimension's interval
@@ -462,106 +436,177 @@ impl<'a> EtEngine<'a> {
         let mut lines = 0usize;
         for lp in plan.iter() {
             lines += 1;
-            let payload_after = self.cumulative[lp.step];
-            let mut delta = [0.0f64; 4];
-            #[allow(clippy::needless_range_loop)] // indexed dimension-range loops read clearer here
-            for j in lp.dim_start..lp.dim_end {
-                let d = dims.start + j;
-                let known = self.known_prefix_for(class, id, d, payload_after);
-                let c = self
-                    .bounder
-                    .contribution(self.interval(id, d, known), query[d]);
-                let old = contribs[j];
-                contribs[j] = c;
-                if old == f64::NEG_INFINITY {
-                    if c != f64::NEG_INFINITY {
-                        unbounded -= 1;
-                        delta[j & 3] += c;
-                    }
-                } else {
-                    delta[j & 3] += c - old;
+            let payload = self.cumulative[lp.step];
+            let covered = lp.dim_start..lp.dim_end;
+            finite_sum += match outlier_spec {
+                Some(spec) => {
+                    refine::<E, M>(raw, query_sub, contribs, covered, &mut unbounded, |j, s| {
+                        missing_mask(
+                            E::BITS,
+                            outlier_known(spec, dims.start + j, s, payload, E::BITS),
+                        )
+                    })
                 }
-            }
-            finite_sum += (delta[0] + delta[1]) + (delta[2] + delta[3]);
+                None => {
+                    let ones = missing_mask(E::BITS, self.uniform_known(class, payload, E::BITS));
+                    refine::<E, M>(raw, query_sub, contribs, covered, &mut unbounded, |_, _| {
+                        ones
+                    })
+                }
+            };
             bound = bound_of(unbounded, finite_sum);
             if bound >= threshold as f64 && lines < plan.len() {
                 obs.terminated(lines, plan.len());
-                return Ok(EvalCost {
+                return EvalCost {
                     lines,
                     backup_lines: 0,
                     pruned: true,
                     distance: None,
                     approx_distance: None,
                     final_bound: bound,
-                });
+                };
             }
         }
 
         // Fully fetched.
-        if full && self.fully_exact(id) {
+        if full && class != VectorClass::Outlier {
             // The compressed form reconstructs the exact vector.
             let distance = self.data.distance_to(id, query);
-            return Ok(EvalCost {
+            return EvalCost {
                 lines,
                 backup_lines: 0,
                 pruned: false,
                 distance: Some(distance),
                 approx_distance: None,
                 final_bound: distance as f64,
-            });
+            };
         }
         if full {
             // Outlier vector: dropped bits → only a bound is known.
             if bound >= threshold as f64 {
                 // Certainly out of bounds; no backup needed.
                 obs.terminated(lines, plan.len());
-                return Ok(EvalCost {
+                return EvalCost {
                     lines,
                     backup_lines: 0,
                     pruned: true,
                     distance: None,
                     approx_distance: None,
                     final_bound: bound,
-                });
+                };
             }
             if self.cfg.backup_recheck {
                 obs.backup_recheck(self.natural_lines());
                 let distance = self.data.distance_to(id, query);
-                return Ok(EvalCost {
+                return EvalCost {
                     lines,
                     backup_lines: self.natural_lines(),
                     pruned: false,
                     distance: Some(distance),
                     approx_distance: None,
                     final_bound: bound,
-                });
+                };
             }
-            return Ok(EvalCost {
+            return EvalCost {
                 lines,
                 backup_lines: 0,
                 pruned: false,
                 distance: None,
                 approx_distance: Some(bound as f32),
                 final_bound: bound,
-            });
+            };
         }
         // Sub-vector evaluation: report the local partial contribution.
-        let partial: f64 = dims
-            .clone()
-            .map(|d| {
-                self.bounder
-                    .contribution(ValueInterval::exact(self.data.vector(id)[d]), query[d])
-            })
+        let partial: f64 = self.data.vector(id)[dims]
+            .iter()
+            .zip(query_sub)
+            .map(|(&v, &q)| M::contribution(v, v, q))
             .sum();
-        Ok(EvalCost {
+        EvalCost {
             lines,
             backup_lines: 0,
             pruned: false,
             distance: None,
             approx_distance: Some(partial as f32),
             final_bound: partial,
-        })
+        }
     }
+}
+
+/// Known prefix length of element `d` (sortable pattern `s`) of an
+/// outlier-format vector after `payload_bits` of its stored payload have
+/// been fetched.
+#[inline]
+fn outlier_known(spec: &PrefixSpec, d: usize, s: u32, payload_bits: u32, bits: u32) -> u32 {
+    let m = spec.matched_len(d, s);
+    if m == spec.len() {
+        // Normal element inside an outlier vector: one 01Elm flag bit
+        // precedes the payload.
+        (spec.len() + payload_bits.saturating_sub(1)).min(bits)
+    } else {
+        // Outlier element: metadata precedes payload; stored bits resume
+        // at the mismatch position. The lowest bits are dropped (the
+        // interval stays conservative).
+        let meta = spec.outlier_meta_bits();
+        let payload_cap = (bits - spec.len()).saturating_sub(meta);
+        let usable = payload_bits.saturating_sub(meta).min(payload_cap);
+        (m + usable).min(bits)
+    }
+}
+
+/// Set every contribution of a sub-vector from its unknown-bit masks
+/// (`mask(j, sortable)` for sub-range dimension `j`); returns how many
+/// are unbounded.
+#[inline(always)]
+fn init_contribs<E: Elem, M: Bound>(
+    raw: &[u32],
+    query: &[f32],
+    contribs: &mut [f64],
+    mask: impl Fn(usize, u32) -> u32,
+) -> usize {
+    let mut unbounded = 0;
+    for (j, ((&r, &q), slot)) in raw.iter().zip(query).zip(contribs.iter_mut()).enumerate() {
+        let s = E::sortable(r);
+        let c = element::<E, M>(s, mask(j, s), q);
+        *slot = c;
+        if c == f64::NEG_INFINITY {
+            unbounded += 1;
+        }
+    }
+    unbounded
+}
+
+/// Refine sub-range dimensions `covered` to their new unknown-bit masks
+/// and return the change of the finite sum, accumulated in four
+/// independent chains (dimension `j` feeds chain `j & 3`).
+#[inline(always)]
+fn refine<E: Elem, M: Bound>(
+    raw: &[u32],
+    query: &[f32],
+    contribs: &mut [f64],
+    covered: Range<usize>,
+    unbounded: &mut usize,
+    mask: impl Fn(usize, u32) -> u32,
+) -> f64 {
+    let mut delta = [0.0f64; 4];
+    let dims = raw[covered.clone()]
+        .iter()
+        .zip(&query[covered.clone()])
+        .zip(&mut contribs[covered.clone()]);
+    for (j, ((&r, &q), slot)) in covered.zip(dims) {
+        let s = E::sortable(r);
+        let c = element::<E, M>(s, mask(j, s), q);
+        let old = std::mem::replace(slot, c);
+        if old == f64::NEG_INFINITY {
+            if c != f64::NEG_INFINITY {
+                *unbounded -= 1;
+                delta[j & 3] += c;
+            }
+        } else {
+            delta[j & 3] += c - old;
+        }
+    }
+    (delta[0] + delta[1]) + (delta[2] + delta[3])
 }
 
 /// A [`DistanceOracle`](ansmet_index::DistanceOracle) backed by the
@@ -570,6 +615,7 @@ impl<'a> EtEngine<'a> {
 #[derive(Debug)]
 pub struct EtOracle<'a> {
     engine: &'a EtEngine<'a>,
+    scratch: EtScratch,
     comparisons: u64,
     /// Transformed-layout lines fetched so far.
     pub lines: u64,
@@ -584,6 +630,7 @@ impl<'a> EtOracle<'a> {
     pub fn new(engine: &'a EtEngine<'a>) -> Self {
         EtOracle {
             engine,
+            scratch: EtScratch::new(),
             comparisons: 0,
             lines: 0,
             backup_lines: 0,
@@ -606,7 +653,9 @@ impl ansmet_index::DistanceOracle for EtOracle<'_> {
         threshold: f32,
     ) -> ansmet_index::DistanceOutcome {
         self.comparisons += 1;
-        let cost = self.engine.evaluate(id, query, threshold);
+        let cost = self
+            .engine
+            .evaluate_with(id, query, threshold, &mut self.scratch);
         self.lines += cost.lines as u64;
         self.backup_lines += cost.backup_lines as u64;
         if cost.pruned {
@@ -624,6 +673,9 @@ impl ansmet_index::DistanceOracle for EtOracle<'_> {
         self.comparisons
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@
 
 use ansmet_index::{MaxDistHeap, Neighbor};
 
-use crate::engine::EtEngine;
+use crate::engine::{EtEngine, EtScratch};
 
 /// Result of an early-terminating exact scan.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,11 +46,12 @@ pub fn et_knn(engine: &EtEngine<'_>, query: &[f32], k: usize) -> ExactScan {
     let data = engine.dataset();
     let k = k.min(data.len());
     let mut heap = MaxDistHeap::new(k);
+    let mut scratch = EtScratch::new();
     let mut lines = 0u64;
     let mut pruned = 0u64;
     for id in 0..data.len() {
         let threshold = heap.threshold();
-        let cost = engine.evaluate(id, query, threshold);
+        let cost = engine.evaluate_with(id, query, threshold, &mut scratch);
         lines += cost.total_lines() as u64;
         if cost.pruned {
             pruned += 1;

@@ -41,6 +41,7 @@ pub mod engine;
 pub mod error;
 pub mod exact;
 pub mod interval;
+mod kernel;
 pub mod layout;
 pub mod observe;
 pub mod planner;

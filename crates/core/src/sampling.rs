@@ -96,13 +96,13 @@ impl SamplingProfile {
         let mut never = 0usize;
         let mut pairs = 0usize;
         for &q in &ids {
-            let query = data.vector(q).to_vec();
+            let query = data.vector(q);
             for &id in &ids {
                 if id == q {
                     continue;
                 }
                 pairs += 1;
-                match first_termination_position(data, id, &query, threshold) {
+                match first_termination_position(data, id, query, threshold) {
                     Some(p) if p >= 1 => hist[(p as usize - 1).min(bits - 1)] += 1,
                     Some(_) => hist[0] += 1,
                     None => never += 1,

@@ -17,7 +17,7 @@
 //! this oracle are bit-identical to exact searches — the flag only moves
 //! cost, never results.
 
-use ansmet_core::EtEngine;
+use ansmet_core::{EtEngine, EtScratch};
 use ansmet_index::{DistanceOracle, DistanceOutcome};
 
 /// ET oracle that serves non-revalidated ids with a conservative exact
@@ -26,6 +26,7 @@ use ansmet_index::{DistanceOracle, DistanceOutcome};
 pub struct FreshEtOracle<'a> {
     engine: &'a EtEngine<'a>,
     conservative: &'a [bool],
+    scratch: EtScratch,
     comparisons: u64,
     /// Transformed-layout lines fetched so far (conservative fetches
     /// count their natural-layout lines here too).
@@ -57,6 +58,7 @@ impl<'a> FreshEtOracle<'a> {
         FreshEtOracle {
             engine,
             conservative,
+            scratch: EtScratch::new(),
             comparisons: 0,
             lines: 0,
             backup_lines: 0,
@@ -80,7 +82,9 @@ impl DistanceOracle for FreshEtOracle<'_> {
             self.lines += self.engine.natural_lines() as u64;
             return DistanceOutcome::Exact(self.engine.dataset().distance_to(id, query));
         }
-        let cost = self.engine.evaluate(id, query, threshold);
+        let cost = self
+            .engine
+            .evaluate_with(id, query, threshold, &mut self.scratch);
         self.lines += cost.lines as u64;
         self.backup_lines += cost.backup_lines as u64;
         if cost.pruned {

@@ -253,12 +253,11 @@ impl Hnsw {
             if kept.len() >= m {
                 break;
             }
-            let node_vec = data.vector(node);
-            let ok = kept.iter().all(|&r| {
-                let d_cr = data.metric().distance(data.vector(c.id), data.vector(r));
-                let d_cq = data.metric().distance(data.vector(c.id), node_vec);
-                d_cq < d_cr
-            });
+            let c_vec = data.vector(c.id);
+            let d_cq = data.metric().distance(c_vec, data.vector(node));
+            let ok = kept
+                .iter()
+                .all(|&r| d_cq < data.metric().distance(c_vec, data.vector(r)));
             if ok {
                 kept.push(c.id);
             }

@@ -18,7 +18,7 @@
 //! [`RecoveryReport`]), never accuracy. The integration tests in
 //! `tests/fault_recovery.rs` assert exactly that.
 
-use ansmet_core::EtEngine;
+use ansmet_core::{EtEngine, EtScratch};
 use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, FaultPlan, FaultStats};
 use ansmet_host::RetryPolicy;
 use ansmet_index::{DistanceOracle, DistanceOutcome};
@@ -132,6 +132,7 @@ enum AttemptError {
 #[derive(Debug)]
 pub struct FaultyNdpOracle<'a> {
     engine: &'a EtEngine<'a>,
+    scratch: EtScratch,
     partitioner: &'a Partitioner,
     replicas: &'a ReplicaSet,
     injector: FaultInjector,
@@ -157,6 +158,7 @@ impl<'a> FaultyNdpOracle<'a> {
         let groups = partitioner.rank_groups();
         FaultyNdpOracle {
             engine,
+            scratch: EtScratch::new(),
             partitioner,
             replicas,
             injector: FaultInjector::new(plan),
@@ -282,7 +284,9 @@ impl DistanceOracle for FaultyNdpOracle<'_> {
         // What the healthy unit computes: the engine *is* the model of
         // the rank-side distance pipeline, so the value below is what a
         // fault-free run would return for this comparison.
-        let cost = self.engine.evaluate(id, query, threshold);
+        let cost = self
+            .engine
+            .evaluate_with(id, query, threshold, &mut self.scratch);
         let value = cost.effective_distance().unwrap_or(RESULT_INVALID);
         let lines = cost.total_lines() as u64;
 

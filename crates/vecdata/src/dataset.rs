@@ -122,6 +122,7 @@ impl Dataset {
     }
 
     /// Element datatype.
+    #[inline]
     pub fn dtype(&self) -> ElemType {
         self.dtype
     }
@@ -132,6 +133,7 @@ impl Dataset {
     }
 
     /// Vector dimensionality.
+    #[inline]
     pub fn dim(&self) -> usize {
         self.dim
     }
@@ -151,12 +153,14 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `i >= len()`.
+    #[inline]
     pub fn vector(&self, i: usize) -> &[f32] {
         &self.values[i * self.dim..(i + 1) * self.dim]
     }
 
     /// Raw storage bit patterns of vector `i` (one LSB-aligned `u32` per
     /// element).
+    #[inline]
     pub fn raw_vector(&self, i: usize) -> &[u32] {
         &self.raw[i * self.dim..(i + 1) * self.dim]
     }
@@ -177,6 +181,7 @@ impl Dataset {
     }
 
     /// Distance between stored vector `i` and `query`.
+    #[inline]
     pub fn distance_to(&self, i: usize, query: &[f32]) -> f32 {
         self.metric.distance(self.vector(i), query)
     }

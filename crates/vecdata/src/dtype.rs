@@ -22,6 +22,7 @@ pub enum ElemType {
 
 impl ElemType {
     /// Storage width in bits.
+    #[inline]
     pub fn bits(self) -> u32 {
         match self {
             ElemType::U8 | ElemType::I8 => 8,
@@ -53,6 +54,7 @@ impl ElemType {
     }
 
     /// Decode a raw storage pattern back to the canonical `f32` value.
+    #[inline]
     pub fn decode(self, raw: u32) -> f32 {
         match self {
             ElemType::U8 => (raw & 0xff) as f32,
@@ -124,6 +126,7 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 }
 
 /// Convert IEEE-754 binary16 bits to `f32`.
+#[inline]
 pub fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = ((bits as u32) & 0x8000) << 16;
     let exp = ((bits >> 10) & 0x1f) as u32;
@@ -160,6 +163,7 @@ pub fn f32_to_bf16_bits(value: f32) -> u16 {
 }
 
 /// Convert bfloat16 bits to `f32`.
+#[inline]
 pub fn bf16_bits_to_f32(bits: u16) -> f32 {
     f32::from_bits((bits as u32) << 16)
 }
