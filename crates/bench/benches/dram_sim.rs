@@ -22,7 +22,7 @@ fn run_pattern(port: Port, addrs: &[u64]) -> u64 {
         }
         mem.tick();
     }
-    mem.drain(10_000_000);
+    mem.drain_all();
     mem.now()
 }
 

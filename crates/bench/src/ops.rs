@@ -29,11 +29,10 @@ use ansmet_freshness::{
     run_churn, run_churn_with_sink, ChurnConfig, EpochConfig, LayoutArtifacts, MutableIndex,
     UpdateTenantSpec,
 };
-use ansmet_host::RetryPolicy;
 use ansmet_obs::{ForensicCause, OpsConfig, OpsPlane, OpsReport, SloSpec};
 use ansmet_serve::{
     generate_arrivals, ops_serve_config, run_serve, run_serve_with_sink, ArrivalProcess,
-    MaintenancePlan, ResilienceConfig, StormProfile, TenantSpec,
+    MaintenancePlan, ResilienceConfig, TenantSpec,
 };
 use ansmet_sim::experiment::Scale;
 use ansmet_sim::{saturated_capacity_qps, Design, SystemConfig, Workload};
@@ -149,10 +148,7 @@ fn serve_half(scale: Scale) -> (HalfOutcome, u64, u64, u64, MaintenancePlan) {
     let arrivals = generate_arrivals(&base.tenants, wl.queries.len(), base.seed, mem_clock);
     let horizon = arrivals.last().map(|a| a.cycle).unwrap_or(0).max(64);
     let (storm_start, storm_end) = (horizon / 4, horizon / 2);
-    let storm = StormProfile {
-        plan: StormPlan::single_group_outage(0, storm_start, storm_end),
-        retry: RetryPolicy::default_ndp(),
-    };
+    let storm = StormPlan::single_group_outage(0, storm_start, storm_end);
     let maintenance = MaintenancePlan {
         interval_cycles: (horizon / 5).max(1),
         pause_cycles: slo_cycles,

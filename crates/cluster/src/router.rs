@@ -30,9 +30,9 @@
 //! accept the same vector legitimately.
 
 use ansmet_core::{EtEngine, EtScratch};
+use ansmet_host::CYCLES_PER_LINE;
 use ansmet_index::{HopKind, Neighbor};
 use ansmet_obs::{EventKind, TraceSink};
-use ansmet_serve::FALLBACK_CYCLES_PER_LINE;
 use ansmet_sim::EventWheel;
 use ansmet_vecdata::Metric;
 
@@ -354,7 +354,7 @@ impl<'a> Router<'a> {
                         run.pending
                             .push(Neighbor::new(eval.distance, shard.global_id(eval.id)));
                     }
-                    cfg.hop_overhead_cycles + lines * FALLBACK_CYCLES_PER_LINE
+                    cfg.hop_overhead_cycles + lines * CYCLES_PER_LINE
                 }
                 DispatchPath::Primary | DispatchPath::Replica(_) => {
                     let mut hop_lines = 0u64;

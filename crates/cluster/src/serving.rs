@@ -13,10 +13,9 @@
 use std::fmt;
 
 use ansmet_faults::{StormKind, StormPlan};
-use ansmet_host::{BreakerConfig, HealthTracker};
+use ansmet_host::{BreakerConfig, HealthTracker, TIMEOUT_PENALTY_CYCLES};
 use ansmet_ndp::ReplicaSet;
 use ansmet_obs::{EventKind, TraceSink};
-use ansmet_serve::TIMEOUT_PENALTY_CYCLES;
 
 /// Where a shard visit actually executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -676,24 +676,6 @@ impl MemorySystem {
         self.cycles_ticked += 1;
     }
 
-    /// Tick until all queued and in-flight requests complete, or until
-    /// `max_cycles` additional cycles have elapsed.
-    ///
-    /// Returns the number of cycles stepped.
-    pub fn drain(&mut self, max_cycles: u64) -> u64 {
-        let start = self.now;
-        let limit = start.saturating_add(max_cycles);
-        while self.busy() && self.now < limit {
-            self.tick();
-            if self.busy() {
-                // Event-driven skip: jump over cycles in which no command
-                // can issue and no burst retires.
-                self.skip_to_event(limit);
-            }
-        }
-        self.now - start
-    }
-
     /// Advance until at least one response sits in the completed buffer,
     /// jumping dead spans instead of ticking through them. The caller must
     /// have work in flight: with nothing queued or pending there is no
@@ -783,7 +765,7 @@ mod tests {
         let t = cfg.timing.clone();
         let mut mem = MemorySystem::new(cfg);
         read_at(&mut mem, 1, 0, Port::Host);
-        let cycles = mem.drain(100_000);
+        let cycles = mem.drain_all();
         assert!(cycles > 0);
         let done = mem.take_completed();
         assert_eq!(done.len(), 1);
@@ -802,7 +784,7 @@ mod tests {
         mem.enable_command_trace();
         read_at(&mut mem, 1, 0, Port::Host);
         read_at(&mut mem, 2, 64, Port::Host); // same row → RD only
-        mem.drain(100_000);
+        mem.drain_all();
         let trace = mem.take_command_trace();
         // Closed bank: ACT then RD for the first, RD alone for the hit.
         let kinds: Vec<CommandKind> = trace.iter().map(|c| c.kind).collect();
@@ -836,7 +818,7 @@ mod tests {
         for m in [&mut with, &mut without] {
             read_at(m, 1, 0, Port::Host);
             read_at(m, 2, 4096, Port::Ndp);
-            m.drain(100_000);
+            m.drain_all();
         }
         // Tracing never perturbs timing or stats.
         assert_eq!(with.now(), without.now());
@@ -853,7 +835,7 @@ mod tests {
         // Same row, different column: addr stride of one channel interleave.
         read_at(&mut mem, 1, 0, Port::Host);
         read_at(&mut mem, 2, 64, Port::Host); // tiny has 1 channel → column 1
-        mem.drain(100_000);
+        mem.drain_all();
         let done = mem.take_completed();
         assert_eq!(done.len(), 2);
         let second = done.iter().find(|r| r.id == 2).expect("id 2 done");
@@ -893,13 +875,13 @@ mod tests {
         for (i, (_, a)) in addrs.iter().enumerate() {
             read_at(&mut ndp, i as u64, *a, Port::Ndp);
         }
-        let ndp_cycles = ndp.drain(1_000_000);
+        let ndp_cycles = ndp.drain_all();
 
         let mut host = MemorySystem::new(cfg);
         for (i, (_, a)) in addrs.iter().enumerate() {
             read_at(&mut host, i as u64, *a, Port::Host);
         }
-        let host_cycles = host.drain(1_000_000);
+        let host_cycles = host.drain_all();
         assert!(
             (ndp_cycles as f64) < host_cycles as f64 * 0.75,
             "NDP ({ndp_cycles}) should beat host ({host_cycles}) on rank-parallel traffic"
@@ -924,7 +906,7 @@ mod tests {
             }
             mem.tick();
         }
-        mem.drain(1_000_000);
+        mem.drain_all();
         let done = mem.take_completed();
         assert_eq!(done.len(), 16);
         let last = done.iter().map(|r| r.finish).max().expect("nonempty");
@@ -971,7 +953,7 @@ mod tests {
         let mut mem = MemorySystem::new(cfg);
         mem.enqueue(Request::new(9, AccessKind::Write, 4096, Port::Host))
             .expect("space");
-        mem.drain(100_000);
+        mem.drain_all();
         let done = mem.take_completed();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].kind, AccessKind::Write);
@@ -985,9 +967,9 @@ mod tests {
         cfg.page_policy = crate::config::PagePolicy::Closed;
         let mut mem = MemorySystem::new(cfg);
         read_at(&mut mem, 1, 0, Port::Host);
-        mem.drain(100_000);
+        mem.drain_all();
         read_at(&mut mem, 2, 64, Port::Host); // same row, next column
-        mem.drain(100_000);
+        mem.drain_all();
         let done = mem.take_completed();
         let second = done.iter().find(|r| r.id == 2).expect("id 2 done");
         assert!(!second.row_hit, "closed policy auto-precharges after CAS");
@@ -1045,22 +1027,6 @@ mod tests {
         mem.drain_all();
         assert_eq!(mem.take_completed().len(), 3);
         assert!(!mem.busy());
-    }
-
-    #[test]
-    fn drain_all_matches_bounded_drain() {
-        let mut cfg = DramConfig::tiny();
-        cfg.refresh_enabled = false;
-        let mut a = MemorySystem::new(cfg.clone());
-        let mut b = MemorySystem::new(cfg);
-        for m in [&mut a, &mut b] {
-            read_at(m, 1, 0, Port::Host);
-            read_at(m, 2, 4096, Port::Ndp);
-        }
-        a.drain_all();
-        b.drain(1_000_000);
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

@@ -25,4 +25,4 @@ pub mod recovery;
 pub use cache::{AccessResult, Cache, CacheConfig, CacheHierarchy};
 pub use cpu::{CpuModel, HostCosts};
 pub use health::{BreakerConfig, BreakerState, BreakerTransition, HealthTracker, EWMA_SCALE};
-pub use recovery::RetryPolicy;
+pub use recovery::{RetryPolicy, CYCLES_PER_LINE, TASK_OVERHEAD_CYCLES, TIMEOUT_PENALTY_CYCLES};

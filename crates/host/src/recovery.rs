@@ -7,6 +7,23 @@
 //! re-issued, and a bounded retry budget guarantees the driver eventually
 //! stops trusting the NDP path and computes the affected distances itself
 //! (the exact-fallback guarantee — faults cost cycles, never accuracy).
+//!
+//! The cycle costs of that protocol are defined here once; every plane
+//! that prices recovery (`sim::degraded`, the serving tier's fleet state,
+//! the cluster router and its failover) charges these same constants.
+
+/// Cycles one abandoned poll window costs when an offload times out
+/// (dropped instruction, hung unit, or a storm-hung group).
+pub const TIMEOUT_PENALTY_CYCLES: u64 = 4_096;
+
+/// Memory cycles per fetched 64 B line: the NDP service-time estimate
+/// and the host's exact-fallback recompute cost per line.
+pub const CYCLES_PER_LINE: u64 = 60;
+
+/// Fixed per-task overhead in cycles (instruction parse + QSHR setup +
+/// compute-pipeline drain), also charged for re-routing a batch to
+/// another rank group.
+pub const TASK_OVERHEAD_CYCLES: u64 = 110;
 
 /// Bounded exponential-backoff retry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -35,6 +35,8 @@ pub use error::NdpError;
 pub use instruction::{crc8, ConfigPayload, NdpInstruction, ResultPayload, SearchTask};
 pub use lrdimm::{LrdimmConfig, LrdimmUnit};
 pub use partition::{LoadTracker, PartitionScheme, Partitioner, Placement, ReplicaSet};
-pub use polling::{PollDeadline, PollOutcome, PollingPolicy, PollingStats};
+pub use polling::{
+    PollDeadline, PollOutcome, PollingPolicy, PollingStats, CONVENTIONAL_POLL_PERIOD,
+};
 pub use qshr::{Qshr, QshrFile, QshrState};
 pub use unit::{NdpUnit, TaskOutcome};

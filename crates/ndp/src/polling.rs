@@ -7,6 +7,10 @@
 //! §4.2) and issues the first poll at the expected completion time,
 //! falling back to a short retry period afterwards.
 
+/// The paper's conventional poll period: 100 ns ≈ 240 memory cycles at
+/// DDR5-4800.
+pub const CONVENTIONAL_POLL_PERIOD: u64 = 240;
+
 /// When to poll an offloaded batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PollingPolicy {
@@ -33,7 +37,9 @@ pub enum PollingPolicy {
 impl PollingPolicy {
     /// The paper's conventional 100 ns policy at 2400 MHz.
     pub fn conventional_100ns() -> Self {
-        PollingPolicy::Conventional { period: 240 }
+        PollingPolicy::Conventional {
+            period: CONVENTIONAL_POLL_PERIOD,
+        }
     }
 
     /// Expected number of lines per comparison under the histogram.

@@ -18,17 +18,14 @@
 
 use std::collections::VecDeque;
 
-use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, FaultPlan, FaultRates, StormPlan};
-use ansmet_host::RetryPolicy;
-use ansmet_index::HopKind;
-use ansmet_ndp::{Partitioner, ResultPayload};
-use ansmet_obs::{EventKind, NoopSink, Phase, TraceSink};
-use ansmet_sim::{Design, EventWheel, RecoveryReport, SystemConfig, WaveContext, Workload};
+use ansmet_faults::{FaultInjector, FaultPlan, FaultRates, StormPlan};
+use ansmet_ndp::Partitioner;
+use ansmet_obs::{EventKind, LatencyHistogram, NoopSink, Phase, TraceSink};
+use ansmet_sim::{Design, EventWheel, SystemConfig, WaveContext, Workload};
 
 use crate::arrival::{generate_arrivals, Arrival, TenantSpec};
-use crate::histogram::LatencyHistogram;
 use crate::report::{ServeReport, TenantReport};
-use crate::resilience::{FleetState, ResilienceConfig, StormProfile, WindowStats};
+use crate::resilience::{FleetState, ResilienceConfig, WindowStats};
 
 /// Dynamic batch-formation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,15 +68,14 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Fault-injection profile for a serving run.
+/// Fault-injection profile for a serving run. The host recovers under
+/// [`RetryPolicy::default_ndp`](ansmet_host::RetryPolicy::default_ndp).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Per-operation fault probabilities.
     pub rates: FaultRates,
     /// Seed for the generated [`FaultPlan`].
     pub seed: u64,
-    /// Host-side recovery policy.
-    pub retry: RetryPolicy,
 }
 
 /// Full configuration of one serving run.
@@ -99,7 +95,7 @@ pub struct ServeConfig {
     pub faults: Option<FaultProfile>,
     /// Optional scripted sustained-degradation storm (rank groups sick
     /// over serving-clock windows).
-    pub storm: Option<StormProfile>,
+    pub storm: Option<StormPlan>,
     /// Optional fleet-resilience layer (health tracking, circuit
     /// breakers, hedged offloads, brownout admission).
     pub resilience: Option<ResilienceConfig>,
@@ -171,7 +167,7 @@ impl ServeConfig {
     }
 
     /// The same config with a scripted storm enabled.
-    pub fn with_storm(mut self, storm: StormProfile) -> Self {
+    pub fn with_storm(mut self, storm: StormPlan) -> Self {
         self.storm = Some(storm);
         self
     }
@@ -193,17 +189,6 @@ impl ServeConfig {
 const WAKE_ARRIVAL: u32 = 0;
 const WAKE_DEVICE_FREE: u32 = 1;
 const WAKE_LINGER: u32 = 2;
-
-/// Cycles one abandoned poll window costs when a batch times out
-/// (mirrors the degraded-mode runner's deadline scale). Shared with the
-/// cluster plane's shard-failover cost model.
-pub const TIMEOUT_PENALTY_CYCLES: u64 = 4_096;
-/// One conventional poll period (100 ns at DDR5-4800), charged per
-/// transient poll miss.
-pub const POLL_MISS_PENALTY_CYCLES: u64 = 240;
-/// Cycles per 64 B line for the host's exact-fallback recompute
-/// (matches `ansmet_sim::degraded`).
-pub const FALLBACK_CYCLES_PER_LINE: u64 = 60;
 
 /// A query waiting in its tenant's queue.
 #[derive(Debug, Clone, Copy)]
@@ -237,96 +222,6 @@ fn results_fingerprint(served: &[Option<usize>], workload: &Workload) -> u64 {
         }
     }
     h.finish()
-}
-
-/// Recovery-penalty cycles for one query's comparisons under injected
-/// faults, charged on top of its fault-free execution time.
-///
-/// The model mirrors the degraded-mode runner's protocol per offload:
-/// drop/hang ⇒ an abandoned poll window; stall ⇒ the stall itself;
-/// corrupt/lost payload ⇒ a CRC rejection; each failure retries under
-/// the [`RetryPolicy`]'s backoff until the host computes the distance
-/// itself. Counters land in the shared [`RecoveryReport`].
-#[allow(clippy::too_many_arguments)]
-fn recovery_penalty<S: TraceSink>(
-    injector: &mut FaultInjector,
-    retry: &RetryPolicy,
-    workload: &Workload,
-    query: usize,
-    partitioner: &Partitioner,
-    rec: &mut RecoveryReport,
-    sink: &mut S,
-    at: u64,
-) -> u64 {
-    let natural_lines = workload.data.vector_lines() as u64;
-    let mut penalty = 0u64;
-    for hop in &workload.traces[query].hops {
-        if hop.kind == HopKind::Centroid {
-            continue; // host-side arithmetic; no offload to fault
-        }
-        for e in &hop.evals {
-            rec.comparisons += 1;
-            let lead = partitioner.group_of(e.id) * partitioner.group_size();
-            let mut attempt = 0u32;
-            loop {
-                rec.offloads += 1;
-                let mut failed = false;
-                if injector.drop_instruction(lead) {
-                    failed = true;
-                } else {
-                    match injector.compute_fault(lead) {
-                        ComputeFault::None => {}
-                        ComputeFault::Stall(extra) => penalty += extra,
-                        ComputeFault::Hang => failed = true,
-                    }
-                }
-                if failed {
-                    rec.timeouts += 1;
-                    penalty += TIMEOUT_PENALTY_CYCLES;
-                } else {
-                    let mut p = ResultPayload::encode(&[0.0]);
-                    match injector.poll_fault(lead, &mut p) {
-                        Some(FaultKind::CorruptResult { .. }) | Some(FaultKind::LostResult) => {
-                            rec.crc_rejections += 1;
-                            sink.event(at + penalty, EventKind::CrcRejected { rank: lead as u32 });
-                            failed = true;
-                        }
-                        Some(FaultKind::PollMiss) => {
-                            rec.poll_misses += 1;
-                            penalty += POLL_MISS_PENALTY_CYCLES;
-                        }
-                        _ => {}
-                    }
-                }
-                if !failed {
-                    break;
-                }
-                if retry.exhausted(attempt) {
-                    rec.host_fallbacks += 1;
-                    penalty += natural_lines * FALLBACK_CYCLES_PER_LINE;
-                    sink.event(
-                        at + penalty,
-                        EventKind::HostFallback {
-                            rank: lead as u32,
-                            lines: natural_lines as u32,
-                        },
-                    );
-                    break;
-                }
-                penalty += retry.backoff(attempt);
-                rec.retries += 1;
-                sink.event(
-                    at + penalty,
-                    EventKind::RecoveryRetry {
-                        rank: lead as u32,
-                        attempt,
-                    },
-                );
-                attempt += 1;
-            }
-        }
-    }
-    penalty
 }
 
 /// Run one online serving simulation.
@@ -391,41 +286,21 @@ pub fn run_serve_with_sink<S: TraceSink>(
         let plan = FaultPlan::random(f.seed, config.ndp_units(), per_rank, f.rates);
         FaultInjector::new(plan)
     };
-    // The fleet path (storm and/or resilience layer) supersedes the
-    // legacy per-query recovery model; configs with only `faults` keep
-    // the original model bit-for-bit.
-    let mut fleet = if serve.storm.is_some() || serve.resilience.is_some() {
-        let retry = serve
-            .storm
-            .as_ref()
-            .map(|s| s.retry)
-            .or_else(|| serve.faults.as_ref().map(|f| f.retry))
-            .unwrap_or_else(RetryPolicy::default_ndp);
-        let plan = serve
-            .storm
-            .as_ref()
-            .map(|s| s.plan.clone())
-            .unwrap_or_else(StormPlan::none);
-        Some(FleetState::new(
-            workload,
+    // Every faulted or stormed run prices recovery through the fleet
+    // state; a clean run builds none and walks no traces for penalties.
+    // The resilience report exists only when a storm or the resilience
+    // layer was asked for.
+    let fleet_layer = serve.storm.is_some() || serve.resilience.is_some();
+    let mut fleet = (fleet_layer || serve.faults.is_some()).then(|| {
+        FleetState::new(
             &partitioner,
+            workload.data.vector_lines() as u64,
             serve.faults.as_ref().map(make_injector),
-            retry,
-            plan,
+            serve.storm.clone().unwrap_or_else(StormPlan::none),
             serve.resilience,
-        ))
-    } else {
-        None
-    };
-    let mut fault_state = if fleet.is_some() {
-        None
-    } else {
-        serve
-            .faults
-            .as_ref()
-            .map(|f| (make_injector(f), f.retry, RecoveryReport::default()))
-    };
-    let storm_span = serve.storm.as_ref().and_then(|s| s.plan.span());
+        )
+    });
+    let storm_span = serve.storm.as_ref().and_then(StormPlan::span);
     let window_of = |cycle: u64| -> usize {
         match storm_span {
             Some((start, _)) if cycle < start => 0,
@@ -612,43 +487,17 @@ pub fn run_serve_with_sink<S: TraceSink>(
         // Fault-recovery penalties stretch individual completions and
         // hold the device (the wave's close waits for recovery).
         let mut max_penalty = 0u64;
-        let penalties: Vec<u64> = if let Some(fl) = &mut fleet {
-            batch
+        let penalties: Vec<u64> = match &mut fleet {
+            Some(fl) => batch
                 .iter()
                 .map(|q| {
                     let p = fl.query_penalty(workload, q.arrival.query, &partitioner, now, sink);
                     max_penalty = max_penalty.max(p);
                     p
                 })
-                .collect()
-        } else {
-            match &mut fault_state {
-                None => vec![0; batch.len()],
-                Some((injector, retry, rec)) => batch
-                    .iter()
-                    .map(|q| {
-                        let p = recovery_penalty(
-                            injector,
-                            retry,
-                            workload,
-                            q.arrival.query,
-                            &partitioner,
-                            rec,
-                            sink,
-                            now,
-                        );
-                        max_penalty = max_penalty.max(p);
-                        p
-                    })
-                    .collect(),
-            }
+                .collect(),
+            None => vec![0; batch.len()],
         };
-        let added: u64 = penalties.iter().sum();
-        if let Some(fl) = &mut fleet {
-            fl.rec.added_latency_cycles += added;
-        } else if let Some((_, _, rec)) = &mut fault_state {
-            rec.added_latency_cycles += added;
-        }
 
         for ((q, &retire), &penalty) in batch.iter().zip(&exec.per_query_cycles).zip(&penalties) {
             let completion = now + retire + penalty;
@@ -706,14 +555,8 @@ pub fn run_serve_with_sink<S: TraceSink>(
     sink.counter("serve.completed", tallies.iter().map(|t| t.completed).sum());
     sink.gauge_max("serve.makespan_cycles", makespan);
 
-    let recovery = match &fleet {
-        Some(fl) => Some(fl.recovery_report()),
-        None => fault_state.map(|(injector, _, mut rec)| {
-            rec.injected = *injector.stats();
-            rec
-        }),
-    };
-    let resilience = fleet.map(|fl| {
+    let recovery = fleet.as_ref().map(FleetState::recovery_report);
+    let resilience = fleet.filter(|_| fleet_layer).map(|fl| {
         fl.resilience_report(storm_span.map(|(start, end)| {
             for (i, h) in window_hists.iter().enumerate() {
                 window_stats[i].p99_cycles = h.quantile(0.99);

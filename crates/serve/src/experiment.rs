@@ -13,7 +13,6 @@
 use std::fmt::Write as _;
 
 use ansmet_faults::{FaultRates, StormPlan};
-use ansmet_host::RetryPolicy;
 use ansmet_sim::experiment::Scale;
 use ansmet_sim::{saturated_capacity_qps, Design, SystemConfig, Workload};
 use ansmet_vecdata::SynthSpec;
@@ -21,7 +20,7 @@ use ansmet_vecdata::SynthSpec;
 use crate::arrival::{generate_arrivals, ArrivalProcess, TenantSpec};
 use crate::engine::{run_serve, AdmissionConfig, BatchPolicy, FaultProfile, ServeConfig};
 use crate::report::{cycles_to_ms, ServeReport};
-use crate::resilience::{ResilienceConfig, StormProfile};
+use crate::resilience::ResilienceConfig;
 use crate::sweep::sweep_qps;
 
 /// Build the experiment's two-tenant serving config at roughly 60 % of
@@ -104,7 +103,6 @@ pub fn serve_experiment(scale: Scale) -> (String, String) {
     let mut faulted_cfg = serve_cfg.clone().with_faults(FaultProfile {
         rates: FaultRates::mixed(),
         seed: 0xFA11,
-        retry: RetryPolicy::default_ndp(),
     });
     faulted_cfg.admission = AdmissionConfig {
         max_queue_depth: usize::MAX,
@@ -248,10 +246,7 @@ pub fn resilience_experiment(scale: Scale) -> (String, String) {
     let arrivals = generate_arrivals(&base.tenants, wl.queries.len(), base.seed, mem_clock);
     let horizon = arrivals.last().map(|a| a.cycle).unwrap_or(0).max(4);
     let (storm_start, storm_end) = (horizon / 4, horizon / 2);
-    let storm = StormProfile {
-        plan: StormPlan::single_group_outage(0, storm_start, storm_end),
-        retry: RetryPolicy::default_ndp(),
-    };
+    let storm = StormPlan::single_group_outage(0, storm_start, storm_end);
 
     let clean = run_serve(&wl, &cfg, &base);
     let unmitigated = run_serve(&wl, &cfg, &base.clone().with_storm(storm.clone()));

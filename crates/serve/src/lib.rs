@@ -14,26 +14,28 @@
 //!   per-tenant queueing, and a dynamic batch former (max batch size /
 //!   max linger) feeding NDP wave batches through
 //!   [`ansmet_sim::WaveContext`].
-//! * [`histogram`] — log-bucketed HDR-style latency histograms with
-//!   bounded relative error and exact integer bucket math.
-//! * [`report`] — p50/p95/p99/p99.9 for queue/execute/total latency,
+//! * [`report`] — p50/p95/p99/p99.9 for queue/execute/total latency
+//!   (from `ansmet_obs`'s log-bucketed integer latency histograms),
 //!   achieved QPS, shed rate, and SLO attainment, as text and
 //!   deterministic JSON (`BENCH_serving.json`).
 //! * [`sweep`] — QPS sweep finding the max sustainable throughput at a
 //!   p99 target.
-//! * [`resilience`] — fleet-level resilience: per-rank-group circuit
-//!   breakers fed by EWMA health tracking, hedged offloads with a
-//!   histogram-derived hedge delay, brownout admission control, and
-//!   scripted storm evaluation (SLO before/during/after, MTTR).
+//! * [`resilience`] — the one fault-recovery path (per-offload timeout,
+//!   CRC rejection, backoff retry, exact host fallback) and the
+//!   fleet-level layer on top of it: per-rank-group circuit breakers fed
+//!   by EWMA health tracking, hedged offloads with a histogram-derived
+//!   hedge delay, brownout admission control, and scripted storm
+//!   evaluation (SLO before/during/after, MTTR).
 //! * [`experiment`] — the `serve` and `resilience` experiment drivers
 //!   for the bench binary.
 //!
-//! Fault integration: a [`FaultProfile`](engine::FaultProfile) routes
-//! every comparison's offload through the `ansmet-faults` injector and
-//! charges the host's retry/backoff/fallback recovery as extra cycles on
-//! the affected queries — degraded-mode recovery becomes *measurable
-//! tail inflation* while the returned neighbors stay bit-identical
-//! (the recovery path is lossless, see `ansmet_sim::degraded`).
+//! Fault integration: a [`FaultProfile`] routes every comparison's
+//! offload through the `ansmet-faults` injector and the fleet state in
+//! [`resilience`] charges the host's retry/backoff/fallback recovery as
+//! extra cycles on the affected queries — degraded-mode recovery
+//! becomes *measurable tail inflation* while the returned neighbors
+//! stay bit-identical (the recovery path is lossless, see
+//! `ansmet_sim::degraded`).
 //!
 //! Determinism contract: seeded arrivals, integer WFQ virtual time,
 //! fresh device state per batch, and integer histograms make the whole
@@ -59,7 +61,6 @@
 pub mod arrival;
 pub mod engine;
 pub mod experiment;
-pub mod histogram;
 pub mod report;
 pub mod resilience;
 pub mod sweep;
@@ -68,14 +69,10 @@ pub mod wfq;
 pub use arrival::{generate_arrivals, Arrival, ArrivalProcess, TenantSpec};
 pub use engine::{
     run_serve, run_serve_with_sink, AdmissionConfig, BatchPolicy, FaultProfile, MaintenancePlan,
-    ServeConfig, FALLBACK_CYCLES_PER_LINE, POLL_MISS_PENALTY_CYCLES, TIMEOUT_PENALTY_CYCLES,
+    ServeConfig,
 };
 pub use experiment::{ops_serve_config, resilience_experiment, serve_experiment};
-pub use histogram::LatencyHistogram;
 pub use report::{cycles_to_ms, PercentileSummary, ServeReport, TenantReport};
-pub use resilience::{
-    BrownoutConfig, HedgeConfig, ReplicationMode, ResilienceConfig, ResilienceReport, StormOutcome,
-    StormProfile, WindowStats,
-};
+pub use resilience::{ResilienceConfig, ResilienceReport, StormOutcome, WindowStats};
 pub use sweep::{sweep_qps, QpsSweep, SweepPoint};
 pub use wfq::{WfqState, WFQ_SCALE};

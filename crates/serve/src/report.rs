@@ -8,11 +8,11 @@
 
 use std::fmt::Write as _;
 
+use ansmet_obs::LatencyHistogram;
 use ansmet_sim::{Design, RecoveryReport};
 
 use crate::arrival::TenantSpec;
 use crate::engine::ServeConfig;
-use crate::histogram::LatencyHistogram;
 use crate::resilience::ResilienceReport;
 
 /// Percentiles of one latency distribution, in memory cycles.

@@ -1,11 +1,15 @@
-//! Fleet-level resilience: cross-query rank-group health, circuit
-//! breakers, hedged offloads, and brownout admission control.
+//! Fleet-level resilience: the serving tier's one fault-recovery path,
+//! plus cross-query rank-group health, circuit breakers, hedged
+//! offloads, and brownout admission control.
 //!
-//! The per-query recovery model ([`FaultProfile`](crate::engine::FaultProfile))
-//! survives transient faults but rediscovers a *persistently* sick rank
-//! group from scratch on every query: each one burns its full retry
-//! budget against a unit that has been hung for a million cycles. This
-//! module manages NDP health *across* queries on the serving clock:
+//! Every faulted or stormed serving run prices recovery here. Without
+//! the resilience layer the fleet state only replays the offload
+//! protocol per comparison — timeout, CRC rejection, bounded backoff
+//! retry, exact host fallback — which survives transient faults but
+//! rediscovers a *persistently* sick rank group anew on every
+//! query: each one burns its full retry budget against a unit that has
+//! been hung for a million cycles. A [`ResilienceConfig`] adds NDP
+//! health management *across* queries on the serving clock:
 //!
 //! * a [`HealthTracker`] (EWMA failure rates + consecutive-failure
 //!   counters, `ansmet-host`) drives a closed → open → half-open circuit
@@ -15,8 +19,8 @@
 //! * *hedged offloads*: when a batch times out on its primary group and
 //!   hedging is enabled, the host re-issues it to a replica group after
 //!   a histogram-derived hedge delay (p95 of observed service times,
-//!   floored at [`HedgeConfig::min_delay_cycles`], capped below the
-//!   timeout window) and takes the first valid CRC-checked result;
+//!   floored at 512 cycles, capped below the timeout window) and takes
+//!   the first valid CRC-checked result;
 //! * *brownout* admission: on detected capacity loss (open breakers) the
 //!   serving tier tightens queue-depth and deadline shedding by tenant
 //!   priority — degrading *admission*, never *answers*;
@@ -33,94 +37,44 @@
 use std::fmt::Write as _;
 
 use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, StormKind, StormPlan};
-use ansmet_host::{BreakerConfig, BreakerState, BreakerTransition, HealthTracker, RetryPolicy};
+use ansmet_host::{
+    BreakerConfig, BreakerState, BreakerTransition, HealthTracker, RetryPolicy, CYCLES_PER_LINE,
+    TASK_OVERHEAD_CYCLES, TIMEOUT_PENALTY_CYCLES,
+};
 use ansmet_index::HopKind;
-use ansmet_ndp::{Partitioner, ReplicaSet, ResultPayload};
-use ansmet_obs::{EventKind, TraceSink};
+use ansmet_ndp::{Partitioner, ReplicaSet, ResultPayload, CONVENTIONAL_POLL_PERIOD};
+use ansmet_obs::{EventKind, LatencyHistogram, TraceSink};
 use ansmet_sim::{RecoveryReport, Workload};
 
-use crate::engine::{FALLBACK_CYCLES_PER_LINE, POLL_MISS_PENALTY_CYCLES, TIMEOUT_PENALTY_CYCLES};
-use crate::histogram::LatencyHistogram;
 use crate::report::cycles_to_ms;
 
-/// Fixed per-offload overhead (instruction parse + QSHR setup + pipeline
-/// drain), also charged for re-routing a batch to another group. Matches
-/// `ansmet_sim::degraded`'s task overhead.
-const TASK_OVERHEAD_CYCLES: u64 = 110;
+/// Floor on the hedge delay, in cycles: the delay never drops below
+/// this even when observed service times are tiny.
+const HEDGE_MIN_DELAY_CYCLES: u64 = 512;
+/// Observed-service samples required before the p95-derived hedge delay
+/// replaces the floor.
+const HEDGE_WARMUP_SAMPLES: u64 = 32;
+/// Highest brownout level: each open breaker raises the level by one,
+/// saturating here.
+const BROWNOUT_MAX_LEVEL: u32 = 3;
 
-/// Hedged-offload policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HedgeConfig {
-    /// Whether timed-out offloads are hedged to a replica group.
-    pub enabled: bool,
-    /// Floor on the hedge delay, in cycles (the delay never drops below
-    /// this even when observed service times are tiny).
-    pub min_delay_cycles: u64,
-    /// Observed-service samples required before the p95-derived delay
-    /// replaces the floor.
-    pub warmup_samples: u64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            enabled: true,
-            min_delay_cycles: 512,
-            warmup_samples: 32,
-        }
-    }
-}
-
-/// Brownout admission-control policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrownoutConfig {
-    /// Whether detected capacity loss tightens admission.
-    pub enabled: bool,
-    /// Highest brownout level (each open breaker raises the level by
-    /// one, saturating here).
-    pub max_level: u32,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            enabled: true,
-            max_level: 3,
-        }
-    }
-}
-
-/// Which vectors can be served from a group other than their home.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicationMode {
-    /// Only index-identified hot vectors are replicated (the offline
-    /// §5.3 model): everything else must recover in place.
-    HotOnly,
-    /// Every shard is fully replicated across rank groups (the serving
-    /// deployment model this layer assumes): any offload can re-route.
-    Full,
-}
-
-/// Configuration of the resilience layer.
+/// Configuration of the resilience layer. Turning the layer on also
+/// turns on brownout admission and assumes every shard is fully
+/// replicated across rank groups (the serving deployment model), so any
+/// offload can re-route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Circuit-breaker policy per rank group.
     pub breaker: BreakerConfig,
-    /// Hedged-offload policy.
-    pub hedge: HedgeConfig,
-    /// Brownout admission policy.
-    pub brownout: BrownoutConfig,
-    /// Replica availability for reroutes and hedges.
-    pub replication: ReplicationMode,
+    /// Whether timed-out offloads are hedged to a replica group.
+    pub hedging: bool,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             breaker: BreakerConfig::default(),
-            hedge: HedgeConfig::default(),
-            brownout: BrownoutConfig::default(),
-            replication: ReplicationMode::Full,
+            hedging: true,
         }
     }
 }
@@ -130,22 +84,10 @@ impl ResilienceConfig {
     /// brownout only) — the control arm of the hedging comparison.
     pub fn without_hedging() -> Self {
         ResilienceConfig {
-            hedge: HedgeConfig {
-                enabled: false,
-                ..HedgeConfig::default()
-            },
+            hedging: false,
             ..ResilienceConfig::default()
         }
     }
-}
-
-/// A scripted sustained-degradation profile for a serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StormProfile {
-    /// The storm script (rank groups down over serving-clock windows).
-    pub plan: StormPlan,
-    /// Host-side per-offload recovery policy during the run.
-    pub retry: RetryPolicy,
 }
 
 /// Latency/SLO tallies for one storm phase (before / during / after).
@@ -327,8 +269,8 @@ enum Attempt {
     /// The poll deadline would pass with no completion (hang, drop, or a
     /// storm-hung group).
     TimedOut,
-    /// The payload arrived but failed its CRC.
-    Corrupt,
+    /// The payload arrived `stall` cycles late and failed its CRC.
+    Corrupt { stall: u64 },
 }
 
 /// Shared fleet state for one serving run: the storm script, the
@@ -336,13 +278,9 @@ enum Attempt {
 /// histogram, plus every resilience counter.
 pub(crate) struct FleetState {
     injector: Option<FaultInjector>,
-    retry: RetryPolicy,
     storm: StormPlan,
     health: Option<HealthTracker>,
-    hedge: HedgeConfig,
-    brownout: BrownoutConfig,
-    replication: ReplicationMode,
-    replicas: ReplicaSet,
+    hedging: bool,
     n_groups: usize,
     group_size: usize,
     natural_lines: u64,
@@ -353,47 +291,30 @@ pub(crate) struct FleetState {
     probes: u64,
     fast_reroutes: u64,
     fast_fallbacks: u64,
-    pub(crate) rec: RecoveryReport,
+    rec: RecoveryReport,
 }
 
 impl FleetState {
-    /// Assemble the fleet state for one run. `resilience: None` keeps
-    /// the breakers/hedging/brownout machinery off (storm recovery then
-    /// relies purely on per-query retries).
+    /// Assemble the fleet state for one run over vectors of
+    /// `natural_lines` 64 B lines. `resilience: None` keeps the
+    /// breakers/hedging/brownout machinery off (recovery then relies
+    /// purely on per-offload retries).
     pub(crate) fn new(
-        workload: &Workload,
         partitioner: &Partitioner,
+        natural_lines: u64,
         injector: Option<FaultInjector>,
-        retry: RetryPolicy,
         storm: StormPlan,
         resilience: Option<ResilienceConfig>,
     ) -> Self {
         let n_groups = partitioner.rank_groups();
-        let replication = resilience
-            .map(|r| r.replication)
-            .unwrap_or(ReplicationMode::HotOnly);
-        let replicas = match replication {
-            ReplicationMode::Full => ReplicaSet::default(),
-            ReplicationMode::HotOnly => ReplicaSet::new(workload.hot_ids()),
-        };
         FleetState {
             injector,
-            retry,
             storm,
             health: resilience.map(|r| HealthTracker::new(n_groups, r.breaker)),
-            hedge: resilience.map(|r| r.hedge).unwrap_or(HedgeConfig {
-                enabled: false,
-                ..HedgeConfig::default()
-            }),
-            brownout: resilience.map(|r| r.brownout).unwrap_or(BrownoutConfig {
-                enabled: false,
-                ..BrownoutConfig::default()
-            }),
-            replication,
-            replicas,
+            hedging: resilience.is_some_and(|r| r.hedging),
             n_groups,
             group_size: partitioner.group_size(),
-            natural_lines: workload.data.vector_lines() as u64,
+            natural_lines,
             service_hist: LatencyHistogram::new(),
             brownout_level: 0,
             brownout_max_level: 0,
@@ -405,15 +326,8 @@ impl FleetState {
         }
     }
 
-    /// Whether vector `id` can be served from a non-home group.
-    fn replicated(&self, id: usize) -> bool {
-        match self.replication {
-            ReplicationMode::Full => self.n_groups > 1,
-            ReplicationMode::HotOnly => self.replicas.contains(id),
-        }
-    }
-
-    /// The first replica-ring group that would currently accept work.
+    /// The first replica-ring group that would currently accept work
+    /// (`None` on a single-group fleet).
     fn healthy_replica(&self, home: usize) -> Option<usize> {
         (0..self.n_groups.saturating_sub(1))
             .filter_map(|a| ReplicaSet::replica_group(home, self.n_groups, a))
@@ -424,31 +338,26 @@ impl FleetState {
     }
 
     /// The current hedge delay: p95 of observed service times once
-    /// enough samples exist, floored at the configured minimum, capped
+    /// enough samples exist, floored at [`HEDGE_MIN_DELAY_CYCLES`], capped
     /// below the timeout window (a hedge that fires after the timeout
     /// would never win the race).
     fn hedge_delay(&self) -> u64 {
-        let derived = if self.service_hist.count() >= self.hedge.warmup_samples {
+        let derived = if self.service_hist.count() >= HEDGE_WARMUP_SAMPLES {
             self.service_hist.quantile(0.95)
         } else {
             0
         };
-        derived
-            .max(self.hedge.min_delay_cycles)
-            .min(TIMEOUT_PENALTY_CYCLES / 2)
+        derived.clamp(HEDGE_MIN_DELAY_CYCLES, TIMEOUT_PENALTY_CYCLES / 2)
     }
 
     /// Re-evaluate the brownout level from the breaker population,
     /// emitting a [`EventKind::Brownout`] event on change. Returns the
-    /// current level.
+    /// current level (always 0 without the resilience layer).
     pub(crate) fn brownout_level<S: TraceSink>(&mut self, now: u64, sink: &mut S) -> u32 {
-        if !self.brownout.enabled {
+        let Some(h) = &self.health else {
             return 0;
-        }
-        let level = match &self.health {
-            Some(h) => (h.open_groups() as u32).min(self.brownout.max_level),
-            None => 0,
         };
+        let level = (h.open_groups() as u32).min(BROWNOUT_MAX_LEVEL);
         if level != self.brownout_level {
             self.brownout_level = level;
             self.brownout_max_level = self.brownout_max_level.max(level);
@@ -459,7 +368,9 @@ impl FleetState {
 
     /// One offload attempt against `group` at effective cycle `at`:
     /// consult the storm script first (sustained degradation), then the
-    /// point-fault injector, mirroring the per-query recovery model.
+    /// point-fault injector's offload, compute, and poll steps in
+    /// protocol order. A compute stall delays the payload, so it is
+    /// charged even when the payload then fails its CRC.
     fn attempt<S: TraceSink>(&mut self, group: usize, at: u64, sink: &mut S) -> Attempt {
         self.rec.offloads += 1;
         let lead = group * self.group_size;
@@ -481,19 +392,21 @@ impl FleetState {
             match inj.poll_fault(lead, &mut p) {
                 Some(FaultKind::CorruptResult { .. }) | Some(FaultKind::LostResult) => {
                     self.rec.crc_rejections += 1;
-                    sink.event(at, EventKind::CrcRejected { rank: lead as u32 });
-                    return Attempt::Corrupt;
+                    sink.event(at + extra, EventKind::CrcRejected { rank: lead as u32 });
+                    return Attempt::Corrupt { stall: extra };
                 }
                 Some(FaultKind::PollMiss) => {
+                    // Stale not-done data: one more conventional poll
+                    // period catches up.
                     self.rec.poll_misses += 1;
-                    extra += POLL_MISS_PENALTY_CYCLES;
+                    extra += CONVENTIONAL_POLL_PERIOD;
                 }
                 _ => {}
             }
         }
         Attempt::Ok {
             extra,
-            service: TASK_OVERHEAD_CYCLES + self.natural_lines * FALLBACK_CYCLES_PER_LINE + extra,
+            service: TASK_OVERHEAD_CYCLES + self.natural_lines * CYCLES_PER_LINE + extra,
         }
     }
 
@@ -532,7 +445,7 @@ impl FleetState {
         sink: &mut S,
     ) {
         self.rec.host_fallbacks += 1;
-        *penalty += self.natural_lines * FALLBACK_CYCLES_PER_LINE;
+        *penalty += self.natural_lines * CYCLES_PER_LINE;
         sink.event(
             at + *penalty,
             EventKind::HostFallback {
@@ -542,11 +455,12 @@ impl FleetState {
         );
     }
 
-    /// Penalty cycles for one comparison of vector `id` dispatched at
-    /// serving cycle `at`, on top of its fault-free execution time.
-    fn eval_penalty<S: TraceSink>(&mut self, id: usize, home: usize, at: u64, sink: &mut S) -> u64 {
+    /// Penalty cycles for one comparison homed in rank group `home` and
+    /// dispatched at serving cycle `at`, on top of its fault-free
+    /// execution time.
+    fn eval_penalty<S: TraceSink>(&mut self, home: usize, at: u64, sink: &mut S) -> u64 {
         self.rec.comparisons += 1;
-        let replicated = self.replicated(id);
+        let retry = RetryPolicy::default_ndp();
         let mut penalty = 0u64;
         let mut group = home;
 
@@ -568,7 +482,7 @@ impl FleetState {
                 }
             } else {
                 self.rec.breaker_fast_paths += 1;
-                match self.healthy_replica(group).filter(|_| replicated) {
+                match self.healthy_replica(group) {
                     Some(alt) => {
                         self.fast_reroutes += 1;
                         penalty += TASK_OVERHEAD_CYCLES;
@@ -597,7 +511,7 @@ impl FleetState {
                     // Hedge the still-pending batch to a replica group;
                     // a win costs the hedge delay plus one re-issue
                     // instead of the whole timeout window.
-                    if self.hedge.enabled && replicated {
+                    if self.hedging {
                         if let Some(target) = self.healthy_replica(group) {
                             let delay = self.hedge_delay();
                             self.rec.hedges += 1;
@@ -627,7 +541,7 @@ impl FleetState {
                                     self.rec.timeouts += 1;
                                     self.record_failure(target, at + penalty, sink);
                                 }
-                                Attempt::Corrupt => {
+                                Attempt::Corrupt { .. } => {
                                     self.record_failure(target, at + penalty, sink);
                                 }
                             }
@@ -635,15 +549,16 @@ impl FleetState {
                     }
                     penalty += TIMEOUT_PENALTY_CYCLES;
                 }
-                Attempt::Corrupt => {
+                Attempt::Corrupt { stall } => {
+                    penalty += stall;
                     self.record_failure(group, at + penalty, sink);
                 }
             }
-            if self.retry.exhausted(attempt_no) {
+            if retry.exhausted(attempt_no) {
                 self.host_fallback(group, at, &mut penalty, sink);
                 return penalty;
             }
-            penalty += self.retry.backoff(attempt_no);
+            penalty += retry.backoff(attempt_no);
             self.rec.retries += 1;
             sink.event(
                 at + penalty,
@@ -654,22 +569,17 @@ impl FleetState {
             );
             attempt_no += 1;
             // Retry away from a group the breaker now distrusts.
-            if replicated {
-                let suspect = match &self.health {
-                    Some(h) => !h.would_accept(group),
-                    None => false,
-                };
-                if suspect {
-                    if let Some(alt) = self.healthy_replica(group) {
-                        group = alt;
-                        self.rec.reoffloads += 1;
-                    }
+            if self.health.as_ref().is_some_and(|h| !h.would_accept(group)) {
+                if let Some(alt) = self.healthy_replica(group) {
+                    group = alt;
+                    self.rec.reoffloads += 1;
                 }
             }
         }
     }
 
-    /// Total penalty cycles for one query's trace dispatched at `at`.
+    /// Total penalty cycles for one query's trace dispatched at `at`,
+    /// also tallied as added latency in the recovery report.
     pub(crate) fn query_penalty<S: TraceSink>(
         &mut self,
         workload: &Workload,
@@ -684,10 +594,10 @@ impl FleetState {
                 continue; // host-side arithmetic; no offload to fault
             }
             for e in &hop.evals {
-                let home = partitioner.group_of(e.id);
-                penalty += self.eval_penalty(e.id, home, at + penalty, sink);
+                penalty += self.eval_penalty(partitioner.group_of(e.id), at + penalty, sink);
             }
         }
+        self.rec.added_latency_cycles += penalty;
         penalty
     }
 
@@ -745,6 +655,54 @@ impl FleetState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ansmet_faults::{FaultEvent, FaultPlan};
+    use ansmet_ndp::PartitionScheme;
+
+    /// Sink keeping the cycles of CRC-rejection events.
+    #[derive(Default)]
+    struct CrcLog(Vec<u64>);
+
+    impl TraceSink for CrcLog {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn event(&mut self, cycle: u64, kind: EventKind) {
+            if let EventKind::CrcRejected { .. } = kind {
+                self.0.push(cycle);
+            }
+        }
+    }
+
+    #[test]
+    fn stall_before_corrupt_payload_is_charged() {
+        // Rank 0's first offload stalls, then its payload fails the CRC;
+        // the retry (rank 0's second operation) is clean.
+        const STALL: u64 = 1_000;
+        let plan = FaultPlan::new(vec![
+            FaultEvent {
+                rank: 0,
+                at: 0,
+                kind: FaultKind::Stall { cycles: STALL },
+            },
+            FaultEvent {
+                rank: 0,
+                at: 0,
+                kind: FaultKind::CorruptResult { bit: 7 },
+            },
+        ]);
+        let partitioner = Partitioner::new(PartitionScheme::Horizontal, 4, 128, 4);
+        let injector = Some(FaultInjector::new(plan));
+        let mut fleet = FleetState::new(&partitioner, 8, injector, StormPlan::none(), None);
+        let mut log = CrcLog::default();
+        let dispatch = 10_000;
+
+        let penalty = fleet.eval_penalty(0, dispatch, &mut log);
+
+        assert_eq!(penalty, STALL + RetryPolicy::default_ndp().backoff(0));
+        assert_eq!(log.0, vec![dispatch + STALL]);
+        let rec = fleet.recovery_report();
+        assert_eq!((rec.crc_rejections, rec.retries), (1, 1));
+    }
 
     #[test]
     fn window_stats_attainment() {
@@ -797,8 +755,8 @@ mod tests {
     #[test]
     fn without_hedging_disables_only_hedging() {
         let r = ResilienceConfig::without_hedging();
-        assert!(!r.hedge.enabled);
-        assert!(r.brownout.enabled);
+        assert!(!r.hedging);
         assert_eq!(r.breaker, BreakerConfig::default());
+        assert!(ResilienceConfig::default().hedging);
     }
 }

@@ -20,7 +20,7 @@
 
 use ansmet_core::{EtEngine, EtScratch};
 use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, FaultPlan, FaultStats};
-use ansmet_host::RetryPolicy;
+use ansmet_host::{RetryPolicy, CYCLES_PER_LINE, TASK_OVERHEAD_CYCLES};
 use ansmet_index::{DistanceOracle, DistanceOutcome};
 use ansmet_ndp::qshr::RESULT_INVALID;
 use ansmet_ndp::{
@@ -34,12 +34,6 @@ use crate::design::{Design, DesignPlan};
 use crate::report::Table;
 use crate::workload::Workload;
 
-/// Memory cycles charged per fetched 64 B line (matches the timing
-/// replay's adaptive-polling service estimate).
-const CYCLES_PER_LINE: u64 = 60;
-/// Fixed per-task overhead in cycles (instruction parse + QSHR setup +
-/// compute-pipeline drain).
-const TASK_OVERHEAD: u64 = 110;
 /// Timeouts a rank group accumulates before re-offloads avoid it.
 const QUARANTINE_STRIKES: u32 = 2;
 
@@ -218,7 +212,7 @@ impl<'a> FaultyNdpOracle<'a> {
         let delivered = !self.injector.drop_instruction(lead_rank)
             && NdpInstruction::decode(addr, &payload).is_some();
         let actual = if delivered {
-            let healthy = TASK_OVERHEAD + lines * CYCLES_PER_LINE;
+            let healthy = TASK_OVERHEAD_CYCLES + lines * CYCLES_PER_LINE;
             match self.injector.compute_fault(lead_rank) {
                 ComputeFault::None => Some(healthy),
                 ComputeFault::Stall(extra) => Some(healthy + extra),

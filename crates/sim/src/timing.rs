@@ -12,9 +12,12 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use ansmet_core::{EtEngine, EtObserver};
 use ansmet_dram::{AccessKind, CommandKind, Location, MemorySystem, Port, Request};
+use ansmet_host::CYCLES_PER_LINE;
 use ansmet_index::HopKind;
 use ansmet_ndp::qshr::QSHRS_PER_UNIT;
-use ansmet_ndp::{LoadTracker, Partitioner, PollingPolicy, PollingStats, ReplicaSet};
+use ansmet_ndp::{
+    LoadTracker, Partitioner, PollingPolicy, PollingStats, ReplicaSet, CONVENTIONAL_POLL_PERIOD,
+};
 use ansmet_obs::{
     DramCommandKind, EventKind, FlightRecorder, NoopSink, Phase, QueryRecorder, RecorderConfig,
     TraceSink,
@@ -658,7 +661,7 @@ impl<'a> RunPrep<'a> {
             let hist = line_histogram(&plan, workload, natural_lines);
             PollingPolicy::Adaptive {
                 latency_histogram: hist,
-                cycles_per_line: 60,
+                cycles_per_line: CYCLES_PER_LINE,
                 task_overhead: 50 + ndp_compute_delay,
                 retry_period: 60,
             }
@@ -1286,7 +1289,7 @@ fn run_query_sink<S: TraceSink>(
                     // poll never waits longer than the conventional
                     // period, so adaptive polling cannot lose to it on
                     // short batches either.
-                    let first = (batch_ewma.ceil() as u64).min(240);
+                    let first = (batch_ewma.ceil() as u64).min(CONVENTIONAL_POLL_PERIOD);
                     batch_ewma = 0.7 * batch_ewma + 0.3 * actual as f64;
                     PollingStats::observe_at(first, (*retry_period).min(40), actual)
                 }

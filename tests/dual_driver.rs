@@ -16,7 +16,6 @@ use ansmet::sim::{
 };
 use ansmet::vecdata::SynthSpec;
 use ansmet_faults::FaultRates;
-use ansmet_host::RetryPolicy;
 
 /// The driver selector is process-global; tests that flip it must not
 /// interleave.
@@ -85,7 +84,6 @@ fn serving_with_faults_drivers_agree() {
         ServeConfig::open_loop(0xD0D0, 150_000.0, 48, 2_000_000).with_faults(FaultProfile {
             rates: FaultRates::mixed(),
             seed: 0xFA11,
-            retry: RetryPolicy::default_ndp(),
         });
     let (rw, rt) = under_both_drivers(|| run_serve(&wl, &sys, &serve));
     assert_eq!(rw, rt, "serve report diverged between drivers");

@@ -13,12 +13,10 @@
 
 use ansmet::serve::{
     run_serve, run_serve_with_sink, AdmissionConfig, ResilienceConfig, ServeConfig, ServeReport,
-    StormProfile,
 };
 use ansmet::sim::{SystemConfig, Workload};
 use ansmet::vecdata::SynthSpec;
 use ansmet_faults::{FaultPlan, StormKind, StormPlan};
-use ansmet_host::RetryPolicy;
 use ansmet_obs::{EventKind, TraceSink};
 
 fn small_workload() -> Workload {
@@ -35,12 +33,9 @@ fn no_shed(mut cfg: ServeConfig) -> ServeConfig {
     cfg
 }
 
-/// A storm profile hanging rank group 0 over `[start, end)`.
-fn outage(start: u64, end: u64) -> StormProfile {
-    StormProfile {
-        plan: StormPlan::single_group_outage(0, start, end),
-        retry: RetryPolicy::default_ndp(),
-    }
+/// A storm hanging rank group 0 over `[start, end)`.
+fn outage(start: u64, end: u64) -> StormPlan {
+    StormPlan::single_group_outage(0, start, end)
 }
 
 /// Sink collecting `(cycle, event-name)` pairs.

@@ -14,7 +14,6 @@ use ansmet::serve::{run_serve, AdmissionConfig, FaultProfile, ServeConfig};
 use ansmet::sim::{SystemConfig, Workload};
 use ansmet::vecdata::SynthSpec;
 use ansmet_faults::FaultRates;
-use ansmet_host::RetryPolicy;
 
 fn small_workload() -> Workload {
     Workload::prepare(&SynthSpec::sift().scaled(1500, 4), 10, Some(40))
@@ -59,7 +58,6 @@ fn faults_inflate_tail_latency_but_not_results() {
     let faulted_cfg = base.clone().with_faults(FaultProfile {
         rates: FaultRates::mixed(),
         seed: 0xFA11,
-        retry: RetryPolicy::default_ndp(),
     });
     let faulted = run_serve(&wl, &sys, &faulted_cfg);
 
