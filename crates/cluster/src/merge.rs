@@ -49,11 +49,13 @@ impl GlobalTopK {
     }
 
     /// A *strictly safe* ET bound: the next representable `f32` above
-    /// the current kth distance. A candidate whose true distance ties
-    /// the final kth (and could win the id tie-break) stays strictly
-    /// below this bound, so the ANSMET engine can never prune it.
+    /// the current kth distance (∞ until the heap is full). A candidate
+    /// whose true distance ties the final kth (and could win the id
+    /// tie-break) stays strictly below this bound, so the ANSMET engine
+    /// can never prune it. Inner-product distances are negative, so this
+    /// must step toward +∞ from either sign.
     pub fn safe_bound(&self) -> f32 {
-        next_up(self.kth())
+        self.kth().next_up()
     }
 
     /// Candidates currently held (≤ k).
@@ -65,20 +67,6 @@ impl GlobalTopK {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-}
-
-/// Next representable `f32` above `x` for non-negative finite `x`;
-/// infinity maps to itself. (Distances in every supported metric are
-/// finite, and L2 distances are non-negative.)
-fn next_up(x: f32) -> f32 {
-    if x.is_infinite() {
-        return x;
-    }
-    debug_assert!(x >= 0.0, "distances are non-negative");
-    if x < 0.0 {
-        return x; // defensive: keep negative inputs unchanged
-    }
-    f32::from_bits(x.to_bits() + 1)
 }
 
 #[cfg(test)]
@@ -129,9 +117,15 @@ mod tests {
 
     #[test]
     fn safe_bound_is_strictly_above_kth() {
-        for x in [0.0f32, 1.0, 137.25, 1e30] {
-            assert!(next_up(x) > x);
+        for x in [0.0f32, -0.0, 1.0, 137.25, 1e30, -1e-30, -0.75, -137.25] {
+            let mut g = GlobalTopK::new(1);
+            g.offer(n(x, 0));
+            assert!(g.safe_bound() > x, "{x}");
         }
-        assert_eq!(next_up(f32::INFINITY), f32::INFINITY);
+        // A non-negative distance steps exactly one bit up.
+        let mut g = GlobalTopK::new(1);
+        g.offer(n(137.25, 0));
+        assert_eq!(g.safe_bound().to_bits(), 137.25f32.to_bits() + 1);
+        assert_eq!(GlobalTopK::new(1).safe_bound(), f32::INFINITY);
     }
 }

@@ -361,26 +361,27 @@ impl<'a> Router<'a> {
                     let mut hop_saved = 0u64;
                     for eval in &hop.evals {
                         let fb = foreign[s].safe_bound();
-                        let tightened = fb < eval.threshold;
-                        let threshold_used = if tightened { fb } else { eval.threshold };
-                        let cost = self.engines[s].evaluate_with(
-                            eval.id,
-                            query,
-                            threshold_used,
-                            &mut self.scratch,
-                        );
-                        let with_bound = cost.total_lines() as u64;
-                        // The bound sequence does not depend on the
-                        // threshold, so an evaluation the tightened
-                        // threshold did not prune costs the same at the
-                        // looser trace threshold.
-                        let independent = if tightened && cost.pruned {
-                            self.engines[s]
-                                .evaluate_with(eval.id, query, eval.threshold, &mut self.scratch)
-                                .total_lines() as u64
+                        let engine = &self.engines[s];
+                        // A tightened evaluation also prices the trace
+                        // threshold, from the same walk of its bounds.
+                        let (threshold_used, cost, independent) = if fb < eval.threshold {
+                            let [cost, baseline] = engine.evaluate_pair_with(
+                                eval.id,
+                                query,
+                                [fb, eval.threshold],
+                                &mut self.scratch,
+                            );
+                            (fb, cost, baseline.total_lines() as u64)
                         } else {
-                            with_bound
+                            let cost = engine.evaluate_with(
+                                eval.id,
+                                query,
+                                eval.threshold,
+                                &mut self.scratch,
+                            );
+                            (eval.threshold, cost, cost.total_lines() as u64)
                         };
+                        let with_bound = cost.total_lines() as u64;
                         hop_lines += with_bound;
                         hop_saved += independent.saturating_sub(with_bound);
                         out.ndp_lines_with_bound += with_bound;
@@ -564,6 +565,24 @@ mod tests {
             let set = ShardSet::build(&data, &queries, 10, 40, shards, policy, 7);
             let (stats, _) = route_all(&set, &mut ClusterFleet::healthy(shards));
             assert_eq!(stats.et_mismatches, 0, "{shards} {policy:?} shards");
+        }
+    }
+
+    #[test]
+    fn inner_product_routing_is_sound() {
+        // Inner-product distances are negative, so the foreign bound must
+        // step toward +∞ from a negative kth.
+        let (data, queries) = SynthSpec::glove().scaled(400, 8).generate();
+        for policy in [RoutingPolicy::Hash, RoutingPolicy::KMeans] {
+            let set = ShardSet::build(&data, &queries, 10, 40, 4, policy, 7);
+            let (stats, merged) = route_all(&set, &mut ClusterFleet::healthy(4));
+            assert_eq!(stats.et_mismatches, 0, "{policy:?}");
+            assert!(stats.pruned_evals > 0, "{policy:?}: the bound engaged");
+            for (qi, m) in merged.iter().enumerate() {
+                let all: Vec<Vec<Neighbor>> =
+                    (0..set.len()).map(|s| set.shard_partial(s, qi)).collect();
+                assert_eq!(*m, merge_partials(set.k, &all), "{policy:?} query {qi}");
+            }
         }
     }
 

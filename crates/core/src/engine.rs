@@ -104,11 +104,23 @@ impl EvalCost {
     pub fn effective_distance(&self) -> Option<f32> {
         self.distance.or(self.approx_distance)
     }
+
+    /// A comparison pruned after `lines` lines at lower bound `bound`.
+    fn pruned(lines: usize, bound: f64) -> Self {
+        EvalCost {
+            lines,
+            backup_lines: 0,
+            pruned: true,
+            distance: None,
+            approx_distance: None,
+            final_bound: bound,
+        }
+    }
 }
 
 /// Reusable buffers for [`EtEngine`] evaluations.
 ///
-/// One comparison needs a per-dimension contribution array and (for
+/// One comparison needs per-dimension contribution arrays and (for
 /// sub-vector ranges) a line plan of the sub-range. Allocating them per
 /// comparison dominates the replay's host time; threading one scratch
 /// through a query's thousands of evaluations amortizes the cost to zero.
@@ -116,6 +128,9 @@ impl EvalCost {
 pub struct EtScratch {
     /// Per-dimension lower-bound contributions (f64, as in the engine).
     contribs: Vec<f64>,
+    /// A line's refined contributions before they replace `contribs`
+    /// (the lane-blocked loop).
+    fresh: Vec<f64>,
     /// Sub-range line plan buffer.
     subplan: Vec<LinePlan>,
 }
@@ -232,15 +247,6 @@ impl<'a> EtEngine<'a> {
         }
     }
 
-    /// Known prefix length of every element of a plain or normal vector
-    /// after `payload_bits` of its stored payload have been fetched.
-    fn uniform_known(&self, class: VectorClass, payload_bits: u32, bits: u32) -> u32 {
-        match (class, &self.cfg.prefix) {
-            (VectorClass::Normal, Some(prefix)) => (prefix.len() + payload_bits).min(bits),
-            _ => payload_bits.min(bits),
-        }
-    }
-
     /// Evaluate one comparison over the full vector.
     ///
     /// # Panics
@@ -267,6 +273,34 @@ impl<'a> EtEngine<'a> {
     ) -> EvalCost {
         self.evaluate_range_with(id, query, 0..self.data.dim(), threshold, scratch)
             .expect("full-range evaluation is in bounds")
+    }
+
+    /// [`EtEngine::evaluate_with`] at two thresholds from one walk of the
+    /// comparison's bound sequence: returns exactly what
+    /// `evaluate_with(id, query, thresholds[0], _)` and
+    /// `evaluate_with(id, query, thresholds[1], _)` return, in order.
+    ///
+    /// The bounds a comparison passes through do not depend on the
+    /// threshold, only where it stops does, so one walk that runs until
+    /// both thresholds have pruned (or every line has arrived) prices
+    /// both. It costs as much as the longer of the two evaluations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len()` differs from the dataset dimensionality.
+    pub fn evaluate_pair_with(
+        &self,
+        id: usize,
+        query: &[f32],
+        thresholds: [f32; 2],
+        scratch: &mut EtScratch,
+    ) -> [EvalCost; 2] {
+        let dims = self
+            .checked(query, 0..self.data.dim())
+            .expect("full-range evaluation is in bounds");
+        dispatch!(self.data.dtype(), self.data.metric(), E, M => {
+            self.evaluate_pair_kernel::<E, M>(id, query, dims, thresholds, scratch)
+        })
     }
 
     /// [`EtEngine::evaluate_with`] reporting termination outcomes to
@@ -341,6 +375,14 @@ impl<'a> EtEngine<'a> {
         scratch: &mut EtScratch,
         obs: &mut O,
     ) -> Result<EvalCost, crate::EtError> {
+        let dims = self.checked(query, dims)?;
+        Ok(dispatch!(self.data.dtype(), self.data.metric(), E, M => {
+            self.evaluate_kernel::<E, M, O>(id, query, dims, threshold, scratch, obs)
+        }))
+    }
+
+    /// Validate a query and sub-range; a reversed range is empty.
+    fn checked(&self, query: &[f32], dims: Range<usize>) -> Result<Range<usize>, crate::EtError> {
         let dim = self.data.dim();
         if query.len() != dim {
             return Err(crate::EtError::QueryDimMismatch {
@@ -351,11 +393,7 @@ impl<'a> EtEngine<'a> {
         if dims.end > dim {
             return Err(crate::EtError::RangeOutOfBounds { end: dims.end, dim });
         }
-        // A reversed range is empty.
-        let dims = dims.start.min(dims.end)..dims.end;
-        Ok(dispatch!(self.data.dtype(), self.data.metric(), E, M => {
-            self.evaluate_kernel::<E, M, O>(id, query, dims, threshold, scratch, obs)
-        }))
+        Ok(dims.start.min(dims.end)..dims.end)
     }
 
     /// One comparison, monomorphized for the dataset's element type and
@@ -369,106 +407,141 @@ impl<'a> EtEngine<'a> {
         scratch: &mut EtScratch,
         obs: &mut O,
     ) -> EvalCost {
-        let sub = dims.len();
-        let full = sub == self.data.dim();
         let class = self.class(id);
-        let outlier_spec = match class {
-            VectorClass::Outlier => self.cfg.prefix.as_ref(),
-            _ => None,
+        let walk = self.walk::<E, M, 1>(id, query, dims.clone(), class, scratch, [threshold]);
+        if let [Some((lines, bound))] = walk.pruned {
+            obs.terminated(lines, walk.planned);
+            return EvalCost::pruned(lines, bound);
+        }
+        self.complete::<M, O, 1>(id, query, dims, class, &walk, threshold, obs)
+    }
+
+    /// Two thresholds of one comparison from one walk (see
+    /// [`EtEngine::evaluate_pair_with`]).
+    fn evaluate_pair_kernel<E: Elem, M: Bound>(
+        &self,
+        id: usize,
+        query: &[f32],
+        dims: Range<usize>,
+        thresholds: [f32; 2],
+        scratch: &mut EtScratch,
+    ) -> [EvalCost; 2] {
+        let class = self.class(id);
+        let walk = self.walk::<E, M, 2>(id, query, dims.clone(), class, scratch, thresholds);
+        let cost = |i: usize| match walk.pruned[i] {
+            Some((lines, bound)) => EvalCost::pruned(lines, bound),
+            None => self.complete::<M, _, 2>(
+                id,
+                query,
+                dims.clone(),
+                class,
+                &walk,
+                thresholds[i],
+                &mut NoopEtObserver,
+            ),
         };
+        let first = cost(0);
+        // Only an outlier vector's completion depends on the threshold.
+        let second = if walk.pruned == [None; 2] && class != VectorClass::Outlier {
+            first
+        } else {
+            cost(1)
+        };
+        [first, second]
+    }
+
+    /// Walk comparison `id`'s bound sequence over `dims` at
+    /// `thresholds` (see [`walk_lines`]). Plain and normal-format vectors
+    /// take the lane-blocked loop when no contribution can be −∞
+    /// ([`Bound::NEVER_UNBOUNDED`]); outlier vectors, whose elements know
+    /// different bit counts, and the rest take the per-element loop.
+    #[inline(always)]
+    fn walk<E: Elem, M: Bound, const N: usize>(
+        &self,
+        id: usize,
+        query: &[f32],
+        dims: Range<usize>,
+        class: VectorClass,
+        scratch: &mut EtScratch,
+        thresholds: [f32; N],
+    ) -> Walk<N> {
+        let sub = dims.len();
         let raw = &self.data.raw_vector(id)[dims.clone()];
-        let query_sub = &query[dims.clone()];
-        let EtScratch { contribs, subplan } = scratch;
+        let query = &query[dims.clone()];
+        let EtScratch {
+            contribs,
+            fresh,
+            subplan,
+        } = scratch;
 
         // Line plan: the transformed layout of the sub-vector only.
-        let plan: &[LinePlan] = if full {
+        let plan: &[LinePlan] = if sub == self.data.dim() {
             &self.plan
         } else {
             self.cfg.schedule.line_plan_into(sub, subplan);
             subplan
         };
-
-        // Initial contributions with zero payload fetched. Unbounded
-        // dimensions (−∞, e.g. unfetched FP32 under inner product) are
-        // counted separately so incremental updates stay well-defined.
         contribs.clear();
         contribs.resize(sub, 0.0);
-        let mut unbounded = match outlier_spec {
-            Some(spec) => init_contribs::<E, M>(raw, query_sub, contribs, |j, s| {
-                missing_mask(E::BITS, outlier_known(spec, dims.start + j, s, 0, E::BITS))
-            }),
-            None => {
-                let ones = missing_mask(E::BITS, self.uniform_known(class, 0, E::BITS));
-                init_contribs::<E, M>(raw, query_sub, contribs, |_, _| ones)
-            }
-        };
-        // Blocked 4-wide reduction of the finite contributions.
-        let mut finite_sum = if unbounded == 0 {
-            sum4(contribs)
-        } else {
-            contribs
-                .iter()
-                .filter(|&&c| c != f64::NEG_INFINITY)
-                .sum::<f64>()
-        };
-        let bound_of = |unbounded: usize, finite_sum: f64| {
-            if unbounded > 0 {
-                f64::NEG_INFINITY
-            } else {
-                finite_sum
-            }
-        };
-        let mut bound = bound_of(unbounded, finite_sum);
-        if bound >= threshold as f64 {
-            obs.terminated(0, plan.len());
-            return EvalCost {
-                lines: 0,
-                backup_lines: 0,
-                pruned: true,
-                distance: None,
-                approx_distance: None,
-                final_bound: bound,
-            };
-        }
-
-        // Fetch line by line, refining each covered dimension's interval
-        // and accumulating bound deltas in four independent f64 chains.
-        let mut lines = 0usize;
-        for lp in plan.iter() {
-            lines += 1;
-            let payload = self.cumulative[lp.step];
-            let covered = lp.dim_start..lp.dim_end;
-            finite_sum += match outlier_spec {
-                Some(spec) => {
-                    refine::<E, M>(raw, query_sub, contribs, covered, &mut unbounded, |j, s| {
+        let cumulative = &self.cumulative;
+        let prefix = match (class, &self.cfg.prefix) {
+            (VectorClass::Outlier, Some(spec)) => {
+                let offset = dims.start;
+                let elements = PerElement::new(raw, query, contribs, |payload| {
+                    move |j, s| {
                         missing_mask(
                             E::BITS,
-                            outlier_known(spec, dims.start + j, s, payload, E::BITS),
+                            outlier_known(spec, offset + j, s, payload, E::BITS),
                         )
-                    })
-                }
-                None => {
-                    let ones = missing_mask(E::BITS, self.uniform_known(class, payload, E::BITS));
-                    refine::<E, M>(raw, query_sub, contribs, covered, &mut unbounded, |_, _| {
-                        ones
-                    })
-                }
-            };
-            bound = bound_of(unbounded, finite_sum);
-            if bound >= threshold as f64 && lines < plan.len() {
-                obs.terminated(lines, plan.len());
-                return EvalCost {
-                    lines,
-                    backup_lines: 0,
-                    pruned: true,
-                    distance: None,
-                    approx_distance: None,
-                    final_bound: bound,
-                };
+                    }
+                });
+                return walk_lines::<E, M, _, N>(elements, plan, cumulative, thresholds);
             }
+            (VectorClass::Normal, Some(spec)) => spec.len(),
+            _ => 0,
+        };
+        if M::NEVER_UNBOUNDED {
+            if fresh.len() < sub {
+                fresh.resize(sub, 0.0);
+            }
+            let lanes = Lanes {
+                raw,
+                query,
+                contribs,
+                fresh,
+                prefix,
+                sum: 0.0,
+            };
+            walk_lines::<E, M, _, N>(lanes, plan, cumulative, thresholds)
+        } else {
+            let elements = PerElement::new(raw, query, contribs, |payload| {
+                let ones = uniform_ones::<E>(prefix, payload);
+                move |_, _| ones
+            });
+            walk_lines::<E, M, _, N>(elements, plan, cumulative, thresholds)
         }
+    }
 
-        // Fully fetched.
+    /// The outcome at `threshold` of a comparison whose walk fetched
+    /// every line without pruning.
+    #[allow(clippy::too_many_arguments)]
+    fn complete<M: Bound, O: EtObserver, const N: usize>(
+        &self,
+        id: usize,
+        query: &[f32],
+        dims: Range<usize>,
+        class: VectorClass,
+        walk: &Walk<N>,
+        threshold: f32,
+        obs: &mut O,
+    ) -> EvalCost {
+        let &Walk {
+            lines,
+            planned,
+            bound,
+            ..
+        } = walk;
+        let full = dims.len() == self.data.dim();
         if full && class != VectorClass::Outlier {
             // The compressed form reconstructs the exact vector.
             let distance = self.data.distance_to(id, query);
@@ -485,15 +558,8 @@ impl<'a> EtEngine<'a> {
             // Outlier vector: dropped bits → only a bound is known.
             if bound >= threshold as f64 {
                 // Certainly out of bounds; no backup needed.
-                obs.terminated(lines, plan.len());
-                return EvalCost {
-                    lines,
-                    backup_lines: 0,
-                    pruned: true,
-                    distance: None,
-                    approx_distance: None,
-                    final_bound: bound,
-                };
+                obs.terminated(lines, planned);
+                return EvalCost::pruned(lines, bound);
             }
             if self.cfg.backup_recheck {
                 obs.backup_recheck(self.natural_lines());
@@ -517,9 +583,9 @@ impl<'a> EtEngine<'a> {
             };
         }
         // Sub-vector evaluation: report the local partial contribution.
-        let partial: f64 = self.data.vector(id)[dims]
+        let partial: f64 = self.data.vector(id)[dims.clone()]
             .iter()
-            .zip(query_sub)
+            .zip(&query[dims])
             .map(|(&v, &q)| M::contribution(v, v, q))
             .sum();
         EvalCost {
@@ -530,6 +596,245 @@ impl<'a> EtEngine<'a> {
             approx_distance: Some(partial as f32),
             final_bound: partial,
         }
+    }
+}
+
+/// Where a walk over a comparison's bound sequence ended.
+#[derive(Debug, Clone, Copy)]
+struct Walk<const N: usize> {
+    /// Lines fetched.
+    lines: usize,
+    /// Lines in the (sub-)vector's plan.
+    planned: usize,
+    /// The last bound of the walk.
+    bound: f64,
+    /// Per threshold, the lines fetched and the bound when it first
+    /// pruned.
+    pruned: [Option<(usize, f64)>; N],
+}
+
+/// Whether the bound after `lines` of `planned` lines prunes at
+/// `threshold`. With nothing fetched it always may; afterwards only
+/// before the last line, since a complete fetch is settled by
+/// [`EtEngine::complete`].
+#[inline(always)]
+fn prunes(threshold: f32, lines: usize, planned: usize, bound: f64) -> bool {
+    bound >= threshold as f64 && (lines == 0 || lines < planned)
+}
+
+/// A comparison's per-dimension contributions and their running bound.
+trait Contributions {
+    /// Set every contribution with no payload fetched; return the bound.
+    fn init<E: Elem, M: Bound>(&mut self) -> f64;
+
+    /// Refine sub-range dimensions `covered` to `payload` fetched bits;
+    /// return the new bound.
+    fn refine<E: Elem, M: Bound>(&mut self, covered: Range<usize>, payload: u32) -> f64;
+}
+
+/// The one loop every evaluation runs: the bound with nothing fetched,
+/// then after each line of `plan`, until every threshold has pruned or
+/// every line has arrived.
+#[inline(always)]
+fn walk_lines<E: Elem, M: Bound, C: Contributions, const N: usize>(
+    mut contribs: C,
+    plan: &[LinePlan],
+    cumulative: &[u32],
+    thresholds: [f32; N],
+) -> Walk<N> {
+    let mut walk = Walk {
+        lines: 0,
+        planned: plan.len(),
+        bound: contribs.init::<E, M>(),
+        pruned: [None; N],
+    };
+    loop {
+        for (&threshold, at) in thresholds.iter().zip(&mut walk.pruned) {
+            if at.is_none() && prunes(threshold, walk.lines, walk.planned, walk.bound) {
+                *at = Some((walk.lines, walk.bound));
+            }
+        }
+        if walk.lines == walk.planned || walk.pruned.iter().all(Option::is_some) {
+            return walk;
+        }
+        let lp = &plan[walk.lines];
+        walk.bound = contribs.refine::<E, M>(lp.dim_start..lp.dim_end, cumulative[lp.step]);
+        walk.lines += 1;
+    }
+}
+
+/// Unknown-bit mask of every element of a plain (`prefix` 0) or
+/// normal-format vector after `payload` bits of its stored payload have
+/// been fetched.
+#[inline(always)]
+fn uniform_ones<E: Elem>(prefix: u32, payload: u32) -> u32 {
+    missing_mask(E::BITS, (prefix + payload).min(E::BITS))
+}
+
+/// Every element's contribution at unknown-bit mask `ones`: a plain map,
+/// which the compiler vectorizes.
+#[inline(always)]
+fn contributions<E: Elem, M: Bound>(raw: &[u32], query: &[f32], ones: u32, out: &mut [f64]) {
+    for ((&r, &q), c) in raw.iter().zip(query).zip(out) {
+        *c = element::<E, M>(E::sortable(r), ones, q);
+    }
+}
+
+/// The lane-blocked loop: a plain or normal-format vector whose
+/// contributions are never −∞ ([`Bound::NEVER_UNBOUNDED`]). Every
+/// element of a line shares one mask and the bound is the plain sum, so
+/// the loop keeps no −∞ bookkeeping: a line's contributions are one
+/// vectorized map, and their changes add up four dimensions at a time.
+struct Lanes<'s> {
+    raw: &'s [u32],
+    query: &'s [f32],
+    contribs: &'s mut [f64],
+    /// At least as long as the longest line.
+    fresh: &'s mut [f64],
+    /// Bits every element knows before any payload (the normal format's
+    /// shared prefix; 0 for plain vectors).
+    prefix: u32,
+    sum: f64,
+}
+
+impl Contributions for Lanes<'_> {
+    #[inline(always)]
+    fn init<E: Elem, M: Bound>(&mut self) -> f64 {
+        let ones = uniform_ones::<E>(self.prefix, 0);
+        contributions::<E, M>(self.raw, self.query, ones, self.contribs);
+        self.sum = sum4(self.contribs);
+        self.sum
+    }
+
+    /// Lane `l` carries the dimensions `covered.start + l` (mod 4) in
+    /// order, which are exactly chain `(covered.start + l) & 3` of the
+    /// per-element loop, so every addition happens in the same order.
+    #[inline(always)]
+    fn refine<E: Elem, M: Bound>(&mut self, covered: Range<usize>, payload: u32) -> f64 {
+        let ones = uniform_ones::<E>(self.prefix, payload);
+        let first = covered.start;
+        let fresh = &mut self.fresh[..covered.len()];
+        contributions::<E, M>(
+            &self.raw[covered.clone()],
+            &self.query[covered.clone()],
+            ones,
+            fresh,
+        );
+        let (fresh4, fresh_tail) = fresh.as_chunks::<4>();
+        let (old4, old_tail) = self.contribs[covered].as_chunks_mut::<4>();
+        let mut lanes = [0.0f64; 4];
+        for (new, old) in fresh4.iter().zip(old4) {
+            for l in 0..4 {
+                lanes[l] += new[l] - old[l];
+            }
+            *old = *new;
+        }
+        for (lane, (new, old)) in lanes.iter_mut().zip(fresh_tail.iter().zip(old_tail)) {
+            *lane += new - *old;
+            *old = *new;
+        }
+        let mut delta = [0.0f64; 4];
+        for (l, lane) in lanes.into_iter().enumerate() {
+            delta[(first + l) & 3] = lane;
+        }
+        self.sum += (delta[0] + delta[1]) + (delta[2] + delta[3]);
+        self.sum
+    }
+}
+
+/// The per-element loop: outlier vectors, whose elements know different
+/// bit counts, and contributions that can be −∞, which are counted
+/// separately so incremental updates of the finite sum stay well defined.
+struct PerElement<'s, K> {
+    raw: &'s [u32],
+    query: &'s [f32],
+    contribs: &'s mut [f64],
+    /// After `payload` bits, the unknown-bit mask of sub-range dimension
+    /// `j` (sortable pattern `s`) is `mask(payload)(j, s)`; the outer call
+    /// runs once per line.
+    mask: K,
+    finite_sum: f64,
+    unbounded: usize,
+}
+
+impl<'s, K> PerElement<'s, K> {
+    fn new(raw: &'s [u32], query: &'s [f32], contribs: &'s mut [f64], mask: K) -> Self {
+        PerElement {
+            raw,
+            query,
+            contribs,
+            mask,
+            finite_sum: 0.0,
+            unbounded: 0,
+        }
+    }
+
+    fn bound(&self) -> f64 {
+        if self.unbounded > 0 {
+            f64::NEG_INFINITY
+        } else {
+            self.finite_sum
+        }
+    }
+}
+
+impl<K: Fn(u32) -> L, L: Fn(usize, u32) -> u32> Contributions for PerElement<'_, K> {
+    #[inline(always)]
+    fn init<E: Elem, M: Bound>(&mut self) -> f64 {
+        let mask = (self.mask)(0);
+        let mut unbounded = 0;
+        let dims = self
+            .raw
+            .iter()
+            .zip(self.query)
+            .zip(self.contribs.iter_mut());
+        for (j, ((&r, &q), slot)) in dims.enumerate() {
+            let s = E::sortable(r);
+            *slot = element::<E, M>(s, mask(j, s), q);
+            if *slot == f64::NEG_INFINITY {
+                unbounded += 1;
+            }
+        }
+        self.unbounded = unbounded;
+        // Blocked 4-wide reduction of the finite contributions.
+        self.finite_sum = if unbounded == 0 {
+            sum4(self.contribs)
+        } else {
+            self.contribs
+                .iter()
+                .filter(|&&c| c != f64::NEG_INFINITY)
+                .sum::<f64>()
+        };
+        self.bound()
+    }
+
+    /// Accumulates the changes in four independent chains (dimension `j`
+    /// feeds chain `j & 3`).
+    #[inline(always)]
+    fn refine<E: Elem, M: Bound>(&mut self, covered: Range<usize>, payload: u32) -> f64 {
+        let mask = (self.mask)(payload);
+        let mut unbounded = self.unbounded;
+        let mut delta = [0.0f64; 4];
+        let dims = self.raw[covered.clone()]
+            .iter()
+            .zip(&self.query[covered.clone()])
+            .zip(&mut self.contribs[covered.clone()]);
+        for (j, ((&r, &q), slot)) in covered.zip(dims) {
+            let s = E::sortable(r);
+            let c = element::<E, M>(s, mask(j, s), q);
+            let old = std::mem::replace(slot, c);
+            if old == f64::NEG_INFINITY {
+                if c != f64::NEG_INFINITY {
+                    unbounded -= 1;
+                    delta[j & 3] += c;
+                }
+            } else {
+                delta[j & 3] += c - old;
+            }
+        }
+        self.unbounded = unbounded;
+        self.finite_sum += (delta[0] + delta[1]) + (delta[2] + delta[3]);
+        self.bound()
     }
 }
 
@@ -552,61 +857,6 @@ fn outlier_known(spec: &PrefixSpec, d: usize, s: u32, payload_bits: u32, bits: u
         let usable = payload_bits.saturating_sub(meta).min(payload_cap);
         (m + usable).min(bits)
     }
-}
-
-/// Set every contribution of a sub-vector from its unknown-bit masks
-/// (`mask(j, sortable)` for sub-range dimension `j`); returns how many
-/// are unbounded.
-#[inline(always)]
-fn init_contribs<E: Elem, M: Bound>(
-    raw: &[u32],
-    query: &[f32],
-    contribs: &mut [f64],
-    mask: impl Fn(usize, u32) -> u32,
-) -> usize {
-    let mut unbounded = 0;
-    for (j, ((&r, &q), slot)) in raw.iter().zip(query).zip(contribs.iter_mut()).enumerate() {
-        let s = E::sortable(r);
-        let c = element::<E, M>(s, mask(j, s), q);
-        *slot = c;
-        if c == f64::NEG_INFINITY {
-            unbounded += 1;
-        }
-    }
-    unbounded
-}
-
-/// Refine sub-range dimensions `covered` to their new unknown-bit masks
-/// and return the change of the finite sum, accumulated in four
-/// independent chains (dimension `j` feeds chain `j & 3`).
-#[inline(always)]
-fn refine<E: Elem, M: Bound>(
-    raw: &[u32],
-    query: &[f32],
-    contribs: &mut [f64],
-    covered: Range<usize>,
-    unbounded: &mut usize,
-    mask: impl Fn(usize, u32) -> u32,
-) -> f64 {
-    let mut delta = [0.0f64; 4];
-    let dims = raw[covered.clone()]
-        .iter()
-        .zip(&query[covered.clone()])
-        .zip(&mut contribs[covered.clone()]);
-    for (j, ((&r, &q), slot)) in covered.zip(dims) {
-        let s = E::sortable(r);
-        let c = element::<E, M>(s, mask(j, s), q);
-        let old = std::mem::replace(slot, c);
-        if old == f64::NEG_INFINITY {
-            if c != f64::NEG_INFINITY {
-                *unbounded -= 1;
-                delta[j & 3] += c;
-            }
-        } else {
-            delta[j & 3] += c - old;
-        }
-    }
-    (delta[0] + delta[1]) + (delta[2] + delta[3])
 }
 
 /// A [`DistanceOracle`](ansmet_index::DistanceOracle) backed by the

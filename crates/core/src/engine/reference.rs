@@ -7,7 +7,9 @@
 //! require [`EtEngine`] to return the same [`EvalCost`] field for field
 //! (floats compared by their bits) and to make the same observer calls,
 //! over every element type, metric, prefix mode, range shape and a set of
-//! boundary thresholds.
+//! boundary thresholds. A third property requires
+//! [`EtEngine::evaluate_pair_with`] to return exactly what two
+//! [`EtEngine::evaluate_with`] calls return.
 
 use std::ops::Range;
 
@@ -400,6 +402,24 @@ fn thresholds(d: f32) -> [f32; 5] {
     [0.0, d, d.next_up(), d * 0.5, f32::INFINITY]
 }
 
+/// The prefix modes of one case: none, outlier-aware prefix, and prefix
+/// without backup.
+fn configs(
+    dtype: ElemType,
+    shared: u32,
+    prefixes: Vec<u32>,
+    shape: u32,
+    width: u32,
+) -> [EtConfig; 3] {
+    let spec = PrefixSpec::from_parts(dtype, shared, prefixes);
+    let prefixed = EtConfig::with_prefix(schedule_for(dtype, shared, shape, width), spec);
+    [
+        EtConfig::new(schedule_for(dtype, 0, shape, width)),
+        prefixed.clone(),
+        prefixed.without_backup(),
+    ]
+}
+
 /// One differential case: every element type, metric, prefix mode
 /// (none, outlier-aware prefix, prefix without backup), range shape (full,
 /// sub-range) and threshold, for every vector of a generated dataset.
@@ -417,16 +437,9 @@ fn check_kernel(
             let shared = 1 + shared_pick % (dtype.bits() - 1);
             let (data, prefixes) = clustered(&mut rng, dtype, metric, n, dim, shared);
             let query = query_for(&mut rng, &data);
-            let spec = PrefixSpec::from_parts(dtype, shared, prefixes);
-            let prefixed = EtConfig::with_prefix(schedule_for(dtype, shared, shape, width), spec);
-            let configs = [
-                EtConfig::new(schedule_for(dtype, 0, shape, width)),
-                prefixed.clone(),
-                prefixed.without_backup(),
-            ];
             let lo = rng.gen_range(0..dim);
             let hi = rng.gen_range(lo + 1..=dim);
-            for cfg in configs {
+            for cfg in configs(dtype, shared, prefixes, shape, width) {
                 let engine = EtEngine::new(&data, cfg.clone());
                 let reference = ReferenceEngine::new(&data, cfg);
                 let mut scratch = EtScratch::new();
@@ -480,6 +493,50 @@ fn check_kernel(
     Ok(())
 }
 
+/// [`EtEngine::evaluate_pair_with`] against two
+/// [`EtEngine::evaluate_with`] calls, for every element type, metric and
+/// prefix mode, and every ordered pair of boundary thresholds (ties and
+/// reversed pairs included).
+fn check_pair(
+    seed: u64,
+    n: usize,
+    dim: usize,
+    shape: u32,
+    width: u32,
+    shared_pick: u32,
+) -> Result<(), TestCaseError> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for dtype in DTYPES {
+        for metric in METRICS {
+            let shared = 1 + shared_pick % (dtype.bits() - 1);
+            let (data, prefixes) = clustered(&mut rng, dtype, metric, n, dim, shared);
+            let query = query_for(&mut rng, &data);
+            for cfg in configs(dtype, shared, prefixes, shape, width) {
+                let engine = EtEngine::new(&data, cfg);
+                let mut scratch = EtScratch::new();
+                for id in 0..data.len() {
+                    let all = thresholds(data.distance_to(id, &query));
+                    for pair in all.into_iter().flat_map(|a| all.map(|b| [a, b])) {
+                        let got = engine.evaluate_pair_with(id, &query, pair, &mut scratch);
+                        let want = pair.map(|t| engine.evaluate_with(id, &query, t, &mut scratch));
+                        prop_assert_eq!(
+                            got.map(|c| cost_bits(&c)),
+                            want.map(|c| cost_bits(&c)),
+                            "{:?}/{:?} id {} thresholds {:?} prefix {:?}",
+                            dtype,
+                            metric,
+                            id,
+                            pair,
+                            engine.config().prefix
+                        );
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// [`first_termination_position`](crate::analysis::first_termination_position)
 /// against its reference for every element type and metric.
 fn check_first_termination(
@@ -513,7 +570,6 @@ fn check_first_termination(
 }
 
 proptest! {
-    #[test]
     fn kernel_matches_the_per_element_reference(
         seed in 0u64..u64::MAX,
         n in 2usize..7,
@@ -525,7 +581,17 @@ proptest! {
         check_kernel(seed, n, dim, shape, width, shared_pick)?;
     }
 
-    #[test]
+    fn pair_matches_two_single_evaluations(
+        seed in 0u64..u64::MAX,
+        n in 2usize..7,
+        dim in 1usize..70,
+        shape in 0u32..3,
+        width in 0u32..64,
+        shared_pick in 0u32..64,
+    ) {
+        check_pair(seed, n, dim, shape, width, shared_pick)?;
+    }
+
     fn first_termination_matches_its_reference(
         seed in 0u64..u64::MAX,
         n in 2usize..8,

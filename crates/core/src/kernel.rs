@@ -37,6 +37,11 @@ pub(crate) trait Elem {
 
 /// One search metric's per-dimension lower bound.
 pub(crate) trait Bound {
+    /// Whether no contribution can be −∞, whatever the element type,
+    /// interval and query: the precondition of the engine's lane-blocked
+    /// loop, which keeps no −∞ bookkeeping.
+    const NEVER_UNBOUNDED: bool;
+
     /// Lower bound of a dimension's contribution when its element lies
     /// in `[lo, hi]` and the query coordinate is `q`.
     fn contribution(lo: f32, hi: f32, q: f32) -> f64;
@@ -189,6 +194,10 @@ fn positive_part(x: f64) -> f64 {
 }
 
 impl Bound for L2 {
+    /// Both terms of the square are +0 or positive (NaN gives +0), so a
+    /// contribution lies in `[0, +∞]`.
+    const NEVER_UNBOUNDED: bool = true;
+
     /// `((lo − q)⁺ + (q − hi)⁺)²`: at most one term is nonzero (lo ≤ hi)
     /// and the other is +0, so the sum is exactly the nearer endpoint's
     /// gap, or +0 when `q` lies inside the interval.
@@ -201,6 +210,10 @@ impl Bound for L2 {
 }
 
 impl Bound for Ip {
+    /// An unfetched float element, or an infinite query coordinate, gives
+    /// −∞.
+    const NEVER_UNBOUNDED: bool = false;
+
     #[inline(always)]
     fn contribution(lo: f32, hi: f32, q: f32) -> f64 {
         if q == 0.0 {
@@ -359,5 +372,43 @@ mod tests {
     fn sixteen_bit_sortable_and_endpoints_match() {
         sixteen_bit::<F16>(ElemType::F16);
         sixteen_bit::<Bf16>(ElemType::Bf16);
+    }
+
+    /// No interval of the type gives an L2 contribution of −∞, whatever
+    /// the query coordinate.
+    fn l2_never_unbounded<E: Elem>(raws: impl Iterator<Item = u32>) {
+        let queries = [
+            -300.5f32,
+            -0.0,
+            0.0,
+            3.0,
+            1e6,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for raw in raws {
+            let s = E::sortable(raw);
+            for known in 0..=E::BITS {
+                let ones = missing_mask(E::BITS, known);
+                for q in queries {
+                    let c = element::<E, L2>(s, ones, q);
+                    assert_ne!(c, f64::NEG_INFINITY, "raw {raw:#x} known {known} q {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn never_unbounded_rules_out_negative_infinity() {
+        const { assert!(L2::NEVER_UNBOUNDED && !Ip::NEVER_UNBOUNDED) };
+        l2_never_unbounded::<U8>(0..1 << 8);
+        l2_never_unbounded::<I8>(0..1 << 8);
+        l2_never_unbounded::<F16>(0..1 << 16);
+        l2_never_unbounded::<Bf16>(0..1 << 16);
+        l2_never_unbounded::<F32>((0..=u32::MAX).step_by(1 << 16));
+        // Inner product makes no such claim: an unfetched float reaches −∞.
+        assert_eq!(element::<F32, Ip>(0, u32::MAX, 1.0), f64::NEG_INFINITY);
     }
 }

@@ -13,7 +13,7 @@
 //! shared memory system. Host-side costs of different streams run on
 //! different cores, so a wave pays only the slowest stream's host work.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use ansmet_core::EtEngine;
 use ansmet_dram::MemorySystem;
@@ -202,7 +202,7 @@ impl<'a> WaveContext<'a> {
         // Stream cursors: (position in `query_ids`, hop index).
         let mut next_pos = 0usize;
         let mut cursors: Vec<(usize, usize)> = Vec::new();
-        let mut uploaded: HashMap<(usize, usize), ()> = HashMap::new();
+        let mut uploaded: HashSet<(usize, usize)> = HashSet::new();
         let mut req_base = 0u64;
         let mut clock = 0u64;
         let mut et_scratch = ansmet_core::EtScratch::new();
@@ -225,7 +225,6 @@ impl<'a> WaveContext<'a> {
             let mut host_serial_sum = 0u64;
             let mut upload_max = 0u64;
             let mut subs: Vec<SubTask> = Vec::new();
-            let mut tasks_per_rank: HashMap<usize, usize> = HashMap::new();
             for (pos, hop_idx) in cursors.iter_mut() {
                 let qi = query_ids[*pos];
                 let trace = &workload.traces[qi];
@@ -267,7 +266,6 @@ impl<'a> WaveContext<'a> {
                         };
                         for (pi, (p, l)) in placements.iter().zip(&lines).enumerate() {
                             let rank = p.rank;
-                            *tasks_per_rank.entry(rank).or_insert(0) += 1;
                             loads.add(rank, *l as u64);
                             let base = (e.id as u64)
                                 * (full_lines as u64 + natural_lines as u64 + 2)
@@ -278,7 +276,7 @@ impl<'a> WaveContext<'a> {
                                 base,
                                 ndp_compute_delay,
                             ));
-                            if uploaded.insert((*pos, rank), ()).is_none() {
+                            if uploaded.insert((*pos, rank)) {
                                 upload += cpu.query_upload_cycles(query_bytes);
                             }
                         }
