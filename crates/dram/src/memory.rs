@@ -313,9 +313,10 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Busy`] if requests are queued or in flight,
-    /// and [`MemoryError::PastCycle`] if `cycle` is behind the clock. The
-    /// clock is unchanged on error.
+    /// Returns [`MemoryError::Busy`](crate::MemoryError::Busy) if requests
+    /// are queued or in flight, and
+    /// [`MemoryError::PastCycle`](crate::MemoryError::PastCycle) if `cycle`
+    /// is behind the clock. The clock is unchanged on error.
     pub fn fast_forward_to(&mut self, cycle: u64) -> Result<(), crate::MemoryError> {
         if self.busy() {
             return Err(crate::MemoryError::Busy { requested: cycle });

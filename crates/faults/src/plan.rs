@@ -375,6 +375,35 @@ mod tests {
     }
 
     #[test]
+    fn from_json_names_the_missing_field() {
+        let event = |fields: &str| format!(r#"{{"events":[{{{fields}}}]}}"#);
+        let cases = [
+            (r#"{"events":{}}"#.to_string(), "missing \"events\" array"),
+            (event(r#""at":0,"kind":"hang""#), "event missing \"rank\""),
+            (event(r#""rank":0,"kind":"hang""#), "event missing \"at\""),
+            (event(r#""rank":0,"at":0"#), "event missing \"kind\""),
+            (
+                event(r#""rank":0,"at":0,"kind":"stall""#),
+                "stall event missing \"cycles\"",
+            ),
+            (
+                event(r#""rank":0,"at":0,"kind":"corrupt_result""#),
+                "corrupt_result event missing \"bit\"",
+            ),
+        ];
+        for (src, msg) in cases {
+            assert_eq!(FaultPlan::from_json(&src).unwrap_err(), msg, "{src}");
+        }
+    }
+
+    #[test]
+    fn from_json_accepts_fields_in_any_order() {
+        let shuffled = r#"{"events":[{"cycles":9,"kind":"stall","at":4,"rank":2},{"kind":"hang","rank":1,"at":0}]}"#;
+        let canonical = r#"{"events":[{"rank":2,"at":4,"kind":"stall","cycles":9},{"rank":1,"at":0,"kind":"hang"}]}"#;
+        assert_eq!(FaultPlan::from_json(shuffled).unwrap().to_json(), canonical);
+    }
+
+    #[test]
     fn kind_classification_is_total() {
         for k in [
             FaultKind::Stall { cycles: 1 },

@@ -89,31 +89,6 @@ impl StormPlan {
         }])
     }
 
-    /// A rolling outage: groups `0..groups` go dark one after another,
-    /// each for `window_cycles`, starting `stride_cycles` apart (a
-    /// rolling firmware update gone wrong, or a cascading brownout).
-    /// Windows may overlap when `stride_cycles < window_cycles`.
-    pub fn rolling_outage(
-        groups: usize,
-        start_cycle: u64,
-        window_cycles: u64,
-        stride_cycles: u64,
-    ) -> Self {
-        StormPlan::new(
-            (0..groups)
-                .map(|g| {
-                    let start = start_cycle + g as u64 * stride_cycles;
-                    StormWindow {
-                        groups: vec![g],
-                        start_cycle: start,
-                        end_cycle: start + window_cycles,
-                        kind: StormKind::Hang,
-                    }
-                })
-                .collect(),
-        )
-    }
-
     /// The scripted windows.
     pub fn windows(&self) -> &[StormWindow] {
         &self.windows
@@ -264,26 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn rolling_outage_staggers_the_windows() {
-        let p = StormPlan::rolling_outage(3, 1_000, 500, 2_000);
-        assert_eq!(p.windows().len(), 3);
-        // Group g dark exactly over [1000 + 2000 g, 1500 + 2000 g).
-        for g in 0..3 {
-            let start = 1_000 + g as u64 * 2_000;
-            assert_eq!(p.fault_at(g, start), Some(StormKind::Hang));
-            assert_eq!(p.fault_at(g, start + 499), Some(StormKind::Hang));
-            assert_eq!(p.fault_at(g, start + 500), None);
-            assert_eq!(p.fault_at(g, start.wrapping_sub(1)), None);
-        }
-        // At any instant at most one group is dark (stride > window).
-        for cycle in (0..8_000).step_by(100) {
-            let dark = (0..3).filter(|&g| p.fault_at(g, cycle).is_some()).count();
-            assert!(dark <= 1, "cycle {cycle} has {dark} dark groups");
-        }
-        assert_eq!(p.span(), Some((1_000, 5_500)));
-    }
-
-    #[test]
     fn empty_plan() {
         let p = StormPlan::none();
         assert!(p.is_empty());
@@ -321,5 +276,31 @@ mod tests {
             r#"{"windows":[{"groups":[0],"start_cycle":0,"end_cycle":1,"kind":"melt"}]}"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn from_json_names_the_missing_field() {
+        // A complete stall window, read with one field left out at a time.
+        let fields = [
+            (r#""groups":[0]"#, "window missing \"groups\""),
+            (r#""start_cycle":0"#, "window missing \"start_cycle\""),
+            (r#""end_cycle":1"#, "window missing \"end_cycle\""),
+            (r#""kind":"stall""#, "window missing \"kind\""),
+            (r#""cycles":5"#, "stall window missing \"cycles\""),
+        ];
+        let window = |skip: Option<usize>| {
+            let kept: Vec<&str> = (0..fields.len())
+                .filter(|&i| Some(i) != skip)
+                .map(|i| fields[i].0)
+                .collect();
+            format!(r#"{{"windows":[{{{}}}]}}"#, kept.join(","))
+        };
+        assert!(StormPlan::from_json(&window(None)).is_ok());
+        for (skip, (_, msg)) in fields.iter().enumerate() {
+            let src = window(Some(skip));
+            assert_eq!(StormPlan::from_json(&src).unwrap_err(), *msg, "{src}");
+        }
+        let src = window(None).replace("[0]", r#"["a"]"#);
+        assert_eq!(StormPlan::from_json(&src).unwrap_err(), "bad group id");
     }
 }

@@ -25,7 +25,6 @@ pub mod heap;
 pub mod hnsw;
 pub mod ivf;
 pub mod oracle;
-pub mod pq;
 pub mod scratch;
 pub mod trace;
 pub mod visited;
@@ -34,7 +33,6 @@ pub use heap::{MaxDistHeap, MinDistHeap, Neighbor};
 pub use hnsw::{Hnsw, HnswParams, SearchResult};
 pub use ivf::{Ivf, IvfParams};
 pub use oracle::{DistanceOracle, DistanceOutcome, ExactOracle};
-pub use pq::{AdcTable, PqParams, ProductQuantizer};
 pub use scratch::SearchScratch;
 pub use trace::{Eval, Hop, HopKind, SearchTrace};
 pub use visited::VisitedSet;

@@ -1,8 +1,6 @@
 //! The distance computing unit (Fig. 5d): 16 lanes of up-to-32-bit
 //! multipliers and adders at 1.2 GHz in the DIMM buffer chip.
 
-use ansmet_vecdata::ElemType;
-
 /// Timing/area model of one distance computing unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeUnit {
@@ -38,23 +36,10 @@ impl ComputeUnit {
         (elements_in_line as u64).div_ceil(self.lanes as u64) + self.reduce_cycles
     }
 
-    /// Cycles to restore a fetched chunk into the current-vector field —
-    /// the layout recovery is simple shifting done in parallel with the
-    /// arithmetic, so only unpacking beyond lane parallelism costs.
-    pub fn restore_cycles(&self, elements_in_line: usize) -> u64 {
-        (elements_in_line as u64).div_ceil(self.lanes as u64 * 2)
-    }
-
     /// Convert NDP cycles to DRAM command-clock cycles (the simulator's
     /// time base) for a memory clock of `mem_clock_mhz`.
     pub fn to_mem_cycles(&self, ndp_cycles: u64, mem_clock_mhz: u64) -> u64 {
         (ndp_cycles * mem_clock_mhz).div_ceil(self.clock_mhz)
-    }
-
-    /// Elements of `dtype` carried by one 64 B line of the *natural*
-    /// layout.
-    pub fn natural_elements_per_line(dtype: ElemType) -> usize {
-        64 / dtype.bytes()
     }
 
     /// Energy of processing `lines` fetches, in nanojoules.
@@ -86,10 +71,39 @@ mod tests {
     }
 
     #[test]
-    fn natural_density() {
-        assert_eq!(ComputeUnit::natural_elements_per_line(ElemType::U8), 64);
-        assert_eq!(ComputeUnit::natural_elements_per_line(ElemType::F32), 16);
-        assert_eq!(ComputeUnit::natural_elements_per_line(ElemType::F16), 32);
+    fn default_matches_the_paper_unit() {
+        let c = ComputeUnit::default();
+        let paper = (16, 1200, 300.0, 0.06);
+        assert_eq!((c.lanes, c.clock_mhz, c.active_mw, c.area_mm2), paper);
+    }
+
+    #[test]
+    fn partial_passes_round_up() {
+        let c = ComputeUnit::default();
+        assert_eq!(c.cycles_per_line(0), c.reduce_cycles);
+        assert_eq!(c.cycles_per_line(1), 1 + c.reduce_cycles);
+        assert_eq!(c.cycles_per_line(17), 2 + c.reduce_cycles);
+        let narrow = ComputeUnit { lanes: 4, ..c };
+        assert_eq!(narrow.cycles_per_line(16), 4 + c.reduce_cycles);
+    }
+
+    #[test]
+    fn clock_conversion_rounds_up() {
+        let c = ComputeUnit::default();
+        // One 1.2 GHz NDP cycle is 1.33 cycles of a 1.6 GHz memory clock.
+        assert_eq!(c.to_mem_cycles(1, 1600), 2);
+        assert_eq!(c.to_mem_cycles(3, 1600), 4);
+        assert_eq!(c.to_mem_cycles(0, 2400), 0);
+        assert_eq!(c.to_mem_cycles(7, 1200), 7, "same clock is the identity");
+    }
+
+    #[test]
+    fn energy_matches_hand_computation() {
+        // One FP32 line: 1 pass + 4 reduce = 5 cycles at 1.2 GHz, 4.17 ns;
+        // at 300 mW that is 1.25 nJ.
+        let c = ComputeUnit::default();
+        assert!((c.energy_nj(1, 16) - 1.25).abs() < 1e-9);
+        assert_eq!(c.energy_nj(0, 16), 0.0);
     }
 
     #[test]

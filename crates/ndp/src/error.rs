@@ -1,38 +1,16 @@
-//! Typed errors for recoverable NDP protocol violations.
+//! Typed errors for recoverable NDP data-integrity violations.
 //!
-//! The buffer-chip command parser rejects malformed or mistimed host
-//! instructions instead of wedging the unit. These conditions are
-//! recoverable on the host side — the fault-tolerant driver retries,
-//! re-offloads, or falls back to host compute — so they surface as
-//! [`NdpError`] values rather than panics.
+//! A polled result payload that fails its CRC is recoverable on the host
+//! side — the fault-tolerant driver retries, re-offloads, or falls back to
+//! host compute — so it surfaces as an [`NdpError`] value rather than a
+//! panic.
 
 use std::error::Error;
 use std::fmt;
 
-use crate::qshr::QshrState;
-
-/// A recoverable NDP-unit protocol or data-integrity error.
+/// A recoverable NDP data-integrity error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NdpError {
-    /// A set-search would overfill a QSHR's eight task slots.
-    TooManyTasks {
-        /// Total tasks the QSHR would hold after the delivery.
-        total: usize,
-    },
-    /// Task or query delivery to a QSHR that is not in the expected state.
-    BadState {
-        /// State the instruction requires.
-        expected: QshrState,
-        /// State the QSHR was actually in.
-        actual: QshrState,
-    },
-    /// `start` on a QSHR still missing its query or its tasks.
-    NotReady {
-        /// The QSHR's state at the failed start.
-        state: QshrState,
-    },
-    /// A data-path instruction arrived before any configure instruction.
-    NotConfigured,
     /// A polled result slot failed its CRC check (corrupted on the DDR
     /// return path or in QSHR storage).
     CorruptResult {
@@ -52,23 +30,6 @@ pub enum NdpError {
 impl fmt::Display for NdpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NdpError::TooManyTasks { total } => {
-                write!(
-                    f,
-                    "at most {} tasks per QSHR (delivery would make {total})",
-                    crate::qshr::TASKS_PER_QSHR
-                )
-            }
-            NdpError::BadState { expected, actual } => {
-                write!(
-                    f,
-                    "QSHR in state {actual:?}, instruction requires {expected:?}"
-                )
-            }
-            NdpError::NotReady { state } => {
-                write!(f, "QSHR not ready to start (state {state:?})")
-            }
-            NdpError::NotConfigured => write!(f, "NDP unit not configured"),
             NdpError::CorruptResult { qshr, slot } => {
                 write!(f, "CRC mismatch in QSHR {qshr} result slot {slot}")
             }
@@ -87,15 +48,18 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = NdpError::TooManyTasks { total: 9 };
-        assert!(e.to_string().contains('9'));
-        let e = NdpError::BadState {
-            expected: QshrState::Loading,
-            actual: QshrState::Done,
-        };
-        assert!(e.to_string().contains("Loading"));
-        assert!(e.to_string().contains("Done"));
         let e = NdpError::CorruptResult { qshr: 3, slot: 5 };
         assert!(e.to_string().contains("CRC"));
+        assert!(e.to_string().contains("slot 5"));
+        let e = NdpError::CorruptHeader { qshr: 9 };
+        assert!(e.to_string().contains("QSHR 9"));
+        assert!(e.to_string().contains("header"));
+    }
+
+    #[test]
+    fn is_a_std_error_without_a_source() {
+        let e: Box<dyn Error> = Box::new(NdpError::CorruptHeader { qshr: 1 });
+        assert!(e.source().is_none());
+        assert_eq!(e.to_string(), "CRC mismatch in QSHR 1 result header");
     }
 }

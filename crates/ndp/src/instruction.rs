@@ -1,15 +1,13 @@
 //! NDP instruction formats (Fig. 5e).
 //!
 //! NDP units are commanded through specially-encoded DDR commands: every
-//! instruction is a DDR WRITE (or READ, for polls) to a reserved address
-//! range. The operation, target QSHR, and sequence number are encoded in
-//! the **address bits** (as in the paper), and the operands travel in the
-//! 64 B data payload — which lets a set-search instruction carry a full
-//! eight 8-byte comparison tasks. This module provides the concrete,
-//! loss-free binary encoding with round-trip tests: the contract between
-//! the host driver and the buffer-chip command parser.
-
-use ansmet_vecdata::{ElemType, Metric};
+//! instruction is a DDR WRITE to a reserved address range. The operation,
+//! target QSHR, and task count are encoded in the **address bits** (as in
+//! the paper), and the operands travel in the 64 B data payload — which
+//! lets a set-search instruction carry a full eight 8-byte comparison
+//! tasks. This module provides the concrete, loss-free binary encoding of
+//! set-search and of the polled result array, with round-trip tests: the
+//! contract between the host driver and the buffer-chip command parser.
 
 /// One distance-comparison task (4 B search-vector address + 4 B distance
 /// threshold); a set-search instruction carries up to eight.
@@ -21,43 +19,9 @@ pub struct SearchTask {
     pub threshold: f32,
 }
 
-/// Configure-instruction payload: element type, dimension, metric, and
-/// early-termination parameters (common prefix length and the
-/// dual-granularity n_C / T_C / n_F values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigPayload {
-    /// Element datatype.
-    pub dtype: ElemType,
-    /// Vector dimensionality (sub-vector dimensionality under vertical
-    /// partitioning).
-    pub dim: u16,
-    /// Distance metric.
-    pub metric: Metric,
-    /// Eliminated common-prefix length in bits.
-    pub prefix_len: u8,
-    /// Coarse fetch step width.
-    pub n_c: u8,
-    /// Number of coarse steps.
-    pub t_c: u8,
-    /// Fine fetch step width.
-    pub n_f: u8,
-}
-
 /// A decoded NDP instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NdpInstruction {
-    /// Broadcast configuration (DDR WRITE to the reserved config address).
-    Configure(ConfigPayload),
-    /// One 64 B slice of query-vector data into a QSHR (up to 16 of these
-    /// transfer a 1 kB query).
-    SetQuery {
-        /// Target QSHR (0..32).
-        qshr: u8,
-        /// 64 B sequence number within the query buffer (0..16).
-        seq: u8,
-        /// The 64 B of query data.
-        data: [u8; 64],
-    },
     /// Up to eight comparison tasks for one QSHR.
     SetSearch {
         /// Target QSHR.
@@ -65,108 +29,39 @@ pub enum NdpInstruction {
         /// The tasks (1..=8).
         tasks: Vec<SearchTask>,
     },
-    /// Result poll (DDR READ of a QSHR's result array).
-    Poll {
-        /// Target QSHR.
-        qshr: u8,
-    },
 }
 
 /// Reserved address prefix marking NDP instructions (upper address bits).
 pub const NDP_ADDR_PREFIX: u64 = 0xA5 << 24;
 
-const OP_CONFIGURE: u64 = 0x1;
-const OP_SET_QUERY: u64 = 0x2;
 const OP_SET_SEARCH: u64 = 0x3;
-const OP_POLL: u64 = 0x4;
-
-fn dtype_code(d: ElemType) -> u8 {
-    match d {
-        ElemType::U8 => 0,
-        ElemType::I8 => 1,
-        ElemType::F32 => 2,
-        ElemType::F16 => 3,
-        ElemType::Bf16 => 4,
-    }
-}
-
-fn dtype_from(code: u8) -> Option<ElemType> {
-    Some(match code {
-        0 => ElemType::U8,
-        1 => ElemType::I8,
-        2 => ElemType::F32,
-        3 => ElemType::F16,
-        4 => ElemType::Bf16,
-        _ => return None,
-    })
-}
-
-fn metric_code(m: Metric) -> u8 {
-    match m {
-        Metric::L2 => 0,
-        Metric::Ip => 1,
-        Metric::Cosine => 2,
-    }
-}
-
-fn metric_from(code: u8) -> Option<Metric> {
-    Some(match code {
-        0 => Metric::L2,
-        1 => Metric::Ip,
-        2 => Metric::Cosine,
-        _ => return None,
-    })
-}
 
 impl NdpInstruction {
     /// Encode into the DDR command's `(address, 64 B payload)` pair.
     ///
-    /// Address layout: `NDP_ADDR_PREFIX | opcode << 16 | qshr << 8 | seq`,
+    /// Address layout: `NDP_ADDR_PREFIX | opcode << 16 | qshr << 8 | tasks`,
     /// shifted left by 6 so the encoded address stays line-aligned.
     pub fn encode(&self) -> (u64, [u8; 64]) {
+        let NdpInstruction::SetSearch { qshr, tasks } = self;
+        assert!(*qshr < 32, "qshr out of range");
+        assert!(
+            (1..=8).contains(&tasks.len()),
+            "set-search carries 1..=8 tasks"
+        );
         let mut p = [0u8; 64];
-        let addr_bits = match self {
-            NdpInstruction::Configure(c) => {
-                p[0] = dtype_code(c.dtype);
-                p[1..3].copy_from_slice(&c.dim.to_le_bytes());
-                p[3] = metric_code(c.metric);
-                p[4] = c.prefix_len;
-                p[5] = c.n_c;
-                p[6] = c.t_c;
-                p[7] = c.n_f;
-                OP_CONFIGURE << 16
-            }
-            NdpInstruction::SetQuery { qshr, seq, data } => {
-                assert!(*qshr < 32 && *seq < 16, "qshr/seq out of range");
-                p.copy_from_slice(data);
-                OP_SET_QUERY << 16 | (*qshr as u64) << 8 | *seq as u64
-            }
-            NdpInstruction::SetSearch { qshr, tasks } => {
-                assert!(*qshr < 32, "qshr out of range");
-                assert!(
-                    (1..=8).contains(&tasks.len()),
-                    "set-search carries 1..=8 tasks"
-                );
-                for (i, t) in tasks.iter().enumerate() {
-                    let off = i * 8;
-                    p[off..off + 4].copy_from_slice(&t.addr.to_le_bytes());
-                    p[off + 4..off + 8].copy_from_slice(&t.threshold.to_le_bytes());
-                }
-                OP_SET_SEARCH << 16 | (*qshr as u64) << 8 | tasks.len() as u64
-            }
-            NdpInstruction::Poll { qshr } => {
-                assert!(*qshr < 32, "qshr out of range");
-                OP_POLL << 16 | (*qshr as u64) << 8
-            }
-        };
+        for (i, t) in tasks.iter().enumerate() {
+            let off = i * 8;
+            p[off..off + 4].copy_from_slice(&t.addr.to_le_bytes());
+            p[off + 4..off + 8].copy_from_slice(&t.threshold.to_le_bytes());
+        }
+        let addr_bits = OP_SET_SEARCH << 16 | (*qshr as u64) << 8 | tasks.len() as u64;
         ((NDP_ADDR_PREFIX | addr_bits) << 6, p)
     }
 
     /// Decode a DDR command's `(address, payload)` pair.
     ///
     /// Returns `None` if the address lacks the NDP prefix or any field is
-    /// malformed (unknown opcode, out-of-range QSHR id, bad task count,
-    /// invalid type/metric codes).
+    /// malformed (unknown opcode, out-of-range QSHR id, bad task count).
     pub fn decode(addr: u64, p: &[u8; 64]) -> Option<NdpInstruction> {
         let bits = addr >> 6;
         if bits >> 24 != NDP_ADDR_PREFIX >> 24 {
@@ -174,68 +69,20 @@ impl NdpInstruction {
         }
         let opcode = (bits >> 16) & 0xff;
         let qshr = ((bits >> 8) & 0xff) as u8;
-        let seq = (bits & 0xff) as u8;
-        match opcode {
-            OP_CONFIGURE => {
-                let dtype = dtype_from(p[0])?;
-                let dim = u16::from_le_bytes([p[1], p[2]]);
-                let metric = metric_from(p[3])?;
-                Some(NdpInstruction::Configure(ConfigPayload {
-                    dtype,
-                    dim,
-                    metric,
-                    prefix_len: p[4],
-                    n_c: p[5],
-                    t_c: p[6],
-                    n_f: p[7],
-                }))
-            }
-            OP_SET_QUERY => {
-                if qshr >= 32 || seq >= 16 {
-                    return None;
-                }
-                Some(NdpInstruction::SetQuery {
-                    qshr,
-                    seq,
-                    data: *p,
-                })
-            }
-            OP_SET_SEARCH => {
-                let n = seq as usize;
-                if qshr >= 32 || !(1..=8).contains(&n) {
-                    return None;
-                }
-                let tasks = (0..n)
-                    .map(|i| {
-                        let off = i * 8;
-                        SearchTask {
-                            addr: u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]),
-                            threshold: f32::from_le_bytes([
-                                p[off + 4],
-                                p[off + 5],
-                                p[off + 6],
-                                p[off + 7],
-                            ]),
-                        }
-                    })
-                    .collect();
-                Some(NdpInstruction::SetSearch { qshr, tasks })
-            }
-            OP_POLL => {
-                if qshr >= 32 {
-                    return None;
-                }
-                Some(NdpInstruction::Poll { qshr })
-            }
-            _ => None,
+        let n = (bits & 0xff) as usize;
+        if opcode != OP_SET_SEARCH || qshr >= 32 || !(1..=8).contains(&n) {
+            return None;
         }
-    }
-
-    /// Number of DDR commands this instruction occupies on the channel
-    /// (set-query for a `query_bytes`-long query needs
-    /// `⌈query_bytes/64⌉` WRITEs; everything else is a single command).
-    pub fn ddr_commands_for_query(query_bytes: usize) -> usize {
-        query_bytes.div_ceil(64)
+        let tasks = (0..n)
+            .map(|i| {
+                let off = i * 8;
+                SearchTask {
+                    addr: u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]),
+                    threshold: f32::from_le_bytes([p[off + 4], p[off + 5], p[off + 6], p[off + 7]]),
+                }
+            })
+            .collect();
+        Some(NdpInstruction::SetSearch { qshr, tasks })
     }
 }
 
@@ -329,23 +176,12 @@ impl ResultPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qshr::{QSHRS_PER_UNIT, RESULT_INVALID, TASKS_PER_QSHR};
+    use crate::NdpError;
 
     fn roundtrip(i: NdpInstruction) {
         let (addr, payload) = i.encode();
         assert_eq!(NdpInstruction::decode(addr, &payload), Some(i));
-    }
-
-    #[test]
-    fn configure_roundtrip() {
-        roundtrip(NdpInstruction::Configure(ConfigPayload {
-            dtype: ElemType::F32,
-            dim: 960,
-            metric: Metric::L2,
-            prefix_len: 6,
-            n_c: 8,
-            t_c: 1,
-            n_f: 2,
-        }));
     }
 
     #[test]
@@ -360,26 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn set_query_roundtrip() {
-        let mut data = [0u8; 64];
-        for (j, b) in data.iter_mut().enumerate() {
-            *b = j as u8;
-        }
-        roundtrip(NdpInstruction::SetQuery {
-            qshr: 5,
-            seq: 12,
-            data,
-        });
-    }
-
-    #[test]
-    fn poll_roundtrip() {
-        roundtrip(NdpInstruction::Poll { qshr: 0 });
-    }
-
-    #[test]
     fn addresses_are_line_aligned_and_prefixed() {
-        let (addr, _) = NdpInstruction::Poll { qshr: 3 }.encode();
+        let tasks = vec![SearchTask {
+            addr: 0x40,
+            threshold: 2.0,
+        }];
+        let (addr, _) = NdpInstruction::SetSearch { qshr: 3, tasks }.encode();
         assert_eq!(addr % 64, 0);
         assert_eq!((addr >> 6) >> 24, NDP_ADDR_PREFIX >> 24);
     }
@@ -398,11 +220,9 @@ mod tests {
         // Set-search with 0 tasks.
         let addr = (NDP_ADDR_PREFIX | (OP_SET_SEARCH << 16)) << 6;
         assert_eq!(NdpInstruction::decode(addr, &[0u8; 64]), None);
-        // Configure with a bad dtype code.
-        let addr = (NDP_ADDR_PREFIX | (OP_CONFIGURE << 16)) << 6;
-        let mut p = [0u8; 64];
-        p[0] = 99;
-        assert_eq!(NdpInstruction::decode(addr, &p), None);
+        // Set-search to an out-of-range QSHR.
+        let addr = (NDP_ADDR_PREFIX | (OP_SET_SEARCH << 16) | (32 << 8) | 1) << 6;
+        assert_eq!(NdpInstruction::decode(addr, &[0u8; 64]), None);
     }
 
     #[test]
@@ -416,13 +236,6 @@ mod tests {
             9
         ];
         NdpInstruction::SetSearch { qshr: 0, tasks }.encode();
-    }
-
-    #[test]
-    fn query_upload_command_count() {
-        // A 1 kB query (256-dim FP16 / 512-dim UINT8) takes 16 WRITEs.
-        assert_eq!(NdpInstruction::ddr_commands_for_query(1024), 16);
-        assert_eq!(NdpInstruction::ddr_commands_for_query(100), 2);
     }
 
     #[test]
@@ -479,6 +292,163 @@ mod tests {
             ResultPayload::decode(0, &p),
             Err(crate::NdpError::CorruptResult { slot: 0, .. })
         ));
+    }
+
+    /// A set-search to `qshr` carrying `(addr, threshold)` tasks.
+    fn set_search(qshr: u8, tasks: &[(u32, f32)]) -> NdpInstruction {
+        let tasks = tasks
+            .iter()
+            .map(|&(addr, threshold)| SearchTask { addr, threshold })
+            .collect();
+        NdpInstruction::SetSearch { qshr, tasks }
+    }
+
+    /// Offset of result slot `i` within a poll payload.
+    fn slot_off(i: usize) -> usize {
+        ResultPayload::SLOTS_OFF + i * ResultPayload::SLOT_BYTES
+    }
+
+    #[test]
+    fn set_search_roundtrips_every_task_count() {
+        let tasks: Vec<(u32, f32)> = (0..8).map(|i| (i * 64, i as f32 + 0.5)).collect();
+        for n in 1..=TASKS_PER_QSHR {
+            roundtrip(set_search(5, &tasks[..n]));
+        }
+    }
+
+    #[test]
+    fn set_search_roundtrips_every_qshr() {
+        // The QSHR id lives in the address bits, so every register of a
+        // unit gets its own address.
+        let mut addrs = std::collections::BTreeSet::new();
+        for qshr in 0..QSHRS_PER_UNIT as u8 {
+            addrs.insert(set_search(qshr, &[(0x80, 3.0)]).encode().0);
+            roundtrip(set_search(qshr, &[(0x80, 3.0)]));
+        }
+        assert_eq!(addrs.len(), QSHRS_PER_UNIT);
+    }
+
+    #[test]
+    fn thresholds_travel_bit_exact() {
+        // The payload carries raw f32 bits, so values that `==` cannot
+        // tell apart (NaN payloads, signed zero) arrive unchanged.
+        let (nan, tiny) = (f32::from_bits(0x7fc0_1234), f32::from_bits(1));
+        let sent = [nan, -0.0, 0.0, tiny, f32::INFINITY, f32::MAX, f32::MIN];
+        let tasks: Vec<(u32, f32)> = sent.iter().map(|&t| (0x40, t)).collect();
+        let (addr, p) = set_search(1, &tasks).encode();
+        let NdpInstruction::SetSearch { tasks: back, .. } =
+            NdpInstruction::decode(addr, &p).unwrap();
+        let back: Vec<u32> = back.iter().map(|t| t.threshold.to_bits()).collect();
+        assert_eq!(back, sent.map(f32::to_bits));
+    }
+
+    #[test]
+    fn decode_ignores_bytes_past_the_task_count() {
+        let i = set_search(3, &[(0x40, 2.0), (0x80, 4.0)]);
+        let (addr, mut p) = i.encode();
+        assert_eq!(p[16..], [0; 48], "unused task slots are zero");
+        p[16..].fill(0xff);
+        assert_eq!(NdpInstruction::decode(addr, &p), Some(i));
+    }
+
+    #[test]
+    fn decode_rejects_more_than_eight_tasks() {
+        for n in 9..=0xff {
+            let addr = (NDP_ADDR_PREFIX | (OP_SET_SEARCH << 16) | n) << 6;
+            assert_eq!(NdpInstruction::decode(addr, &[0u8; 64]), None, "{n} tasks");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_addresses_outside_the_reserved_range() {
+        let (addr, p) = set_search(0, &[(0, 1.0)]).encode();
+        assert!(NdpInstruction::decode(addr, &p).is_some());
+        // A neighbouring prefix, a bit set above the prefix, or no prefix
+        // at all is an ordinary DRAM write.
+        for other in [addr ^ (1 << 30), addr | (1 << 38), addr & !(0xff << 30)] {
+            assert_eq!(NdpInstruction::decode(other, &p), None, "{other:#x}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=8 tasks")]
+    fn encode_rejects_empty_task_list() {
+        set_search(0, &[]).encode();
+    }
+
+    #[test]
+    #[should_panic(expected = "qshr out of range")]
+    fn encode_rejects_out_of_range_qshr() {
+        set_search(32, &[(0, 0.0)]).encode();
+    }
+
+    #[test]
+    fn result_payload_full_array_roundtrips_and_leaves_the_tail_zero() {
+        let results: Vec<f32> = (0..TASKS_PER_QSHR).map(|i| i as f32 * 0.75).collect();
+        let p = ResultPayload::encode(&results);
+        assert!(p[slot_off(TASKS_PER_QSHR)..].iter().all(|&b| b == 0));
+        assert_eq!(ResultPayload::decode(6, &p), Ok(results));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 result slots")]
+    fn result_payload_rejects_nine_results() {
+        ResultPayload::encode(&[0.0; 9]);
+    }
+
+    #[test]
+    fn result_payload_special_values_travel_bit_exact() {
+        let nan = f32::from_bits(0x7fc0_1234);
+        let sent = [nan, -0.0, f32::INFINITY, RESULT_INVALID, f32::from_bits(1)];
+        let back = ResultPayload::decode(0, &ResultPayload::encode(&sent)).unwrap();
+        let back: Vec<u32> = back.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(back, sent.map(f32::to_bits));
+    }
+
+    #[test]
+    fn result_payload_catches_every_single_bit_flip() {
+        // Every bit of the header and of each used slot is under a CRC,
+        // so one flip there names the damaged part; a flip in the unused
+        // tail changes nothing the host reads.
+        let results = [1.0f32, -2.5, 3.25, f32::MAX, 0.0];
+        let clean = ResultPayload::encode(&results);
+        for bit in 0..clean.len() * 8 {
+            let mut p = clean;
+            p[bit / 8] ^= 1 << (bit % 8);
+            let expected = match bit / 8 {
+                byte if byte < slot_off(0) => Err(NdpError::CorruptHeader { qshr: 4 }),
+                byte if byte < slot_off(results.len()) => {
+                    let slot = (byte - slot_off(0)) / ResultPayload::SLOT_BYTES;
+                    Err(NdpError::CorruptResult { qshr: 4, slot })
+                }
+                _ => Ok(results.to_vec()),
+            };
+            assert_eq!(ResultPayload::decode(4, &p), expected, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn result_payload_catches_every_double_bit_flip_within_a_slot() {
+        let clean = ResultPayload::encode(&[7.5, -0.125, 1e-30]);
+        let slot_bits = ResultPayload::SLOT_BYTES * 8;
+        for slot in 0..3 {
+            for a in 0..slot_bits {
+                for b in a + 1..slot_bits {
+                    let mut p = clean;
+                    p[slot_off(slot) + a / 8] ^= 1 << (a % 8);
+                    p[slot_off(slot) + b / 8] ^= 1 << (b % 8);
+                    let caught = Err(NdpError::CorruptResult { qshr: 1, slot });
+                    assert_eq!(ResultPayload::decode(1, &p), caught, "bits {a}, {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc8_matches_the_standard_check_value() {
+        // Polynomial 0x07, zero init, no reflection and no final XOR is
+        // the catalogued CRC-8/SMBUS, whose check value is 0xF4.
+        assert_eq!(crc8(b"123456789"), 0xF4);
     }
 
     #[test]

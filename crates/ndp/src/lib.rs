@@ -1,11 +1,19 @@
-//! The ANSMET NDP hardware model (§5 of the paper): per-rank NDP units in
-//! the DIMM buffer chip, query status handling registers (QSHRs),
-//! DDR-encoded NDP instructions, the distance computing unit, hybrid
-//! vertical/horizontal data partitioning with hot-vector replication, and
-//! adaptive result polling.
+//! The ANSMET NDP hardware model (§5 of the paper): the parameters and
+//! placement policies that `ansmet-sim` composes into cycle-level timing.
 //!
-//! Timing is composed in `ansmet-sim`; this crate provides the structural
-//! and behavioral models plus their parameters.
+//! - [`partition`]: hybrid vertical/horizontal data partitioning across
+//!   ranks, hot-vector replication and per-rank load tracking (§5.3).
+//! - [`polling`]: conventional and adaptive result polling (§5.4).
+//! - [`compute`]: the distance computing unit's timing, power and area
+//!   (Fig. 5d).
+//! - [`instruction`]: the DDR-encoded set-search instruction and the
+//!   CRC-protected result payload a poll returns (Fig. 5e).
+//! - [`qshr`]: the query status handling register file's sizes (Fig. 5c).
+//! - [`error`]: the typed error a corrupt polled result raises.
+//!
+//! This crate depends on no other workspace crate; the instruction-level
+//! behaviour of the units (QSHR occupancy, fetches, early termination) is
+//! modelled in `ansmet-sim`'s batch driver.
 //!
 //! # Example
 //!
@@ -24,19 +32,14 @@
 pub mod compute;
 pub mod error;
 pub mod instruction;
-pub mod lrdimm;
 pub mod partition;
 pub mod polling;
 pub mod qshr;
-pub mod unit;
 
 pub use compute::ComputeUnit;
 pub use error::NdpError;
-pub use instruction::{crc8, ConfigPayload, NdpInstruction, ResultPayload, SearchTask};
-pub use lrdimm::{LrdimmConfig, LrdimmUnit};
+pub use instruction::{crc8, NdpInstruction, ResultPayload, SearchTask};
 pub use partition::{LoadTracker, PartitionScheme, Partitioner, Placement, ReplicaSet};
 pub use polling::{
     PollDeadline, PollOutcome, PollingPolicy, PollingStats, CONVENTIONAL_POLL_PERIOD,
 };
-pub use qshr::{Qshr, QshrFile, QshrState};
-pub use unit::{NdpUnit, TaskOutcome};

@@ -1,353 +1,17 @@
-//! Query status handling registers (QSHRs, Fig. 5c).
+//! Query status handling register (QSHR, Fig. 5c) parameters.
 //!
-//! Each NDP unit holds 32 QSHRs. A QSHR stores the query-vector data
-//! (1 kB), an array of eight comparison tasks (search-vector address,
-//! distance threshold, result distance), the current vector buffer, and a
-//! fetch counter split into (task index, fetches done). Tasks within a
-//! QSHR process sequentially; different QSHRs issue memory accesses in
-//! parallel.
-
-use crate::instruction::SearchTask;
+//! Each NDP unit holds 32 QSHRs. A QSHR stores one query, an array of
+//! eight comparison tasks and their result distances; tasks within a QSHR
+//! process sequentially while different QSHRs issue memory accesses in
+//! parallel. `ansmet-sim` models that concurrency cycle by cycle; the
+//! constants here are the register-file sizes that it and the result
+//! wire format share.
 
 /// Result sentinel: "invalid MAX value" before a task finishes (§5.2).
 pub const RESULT_INVALID: f32 = f32::MAX;
-
-/// Query buffer capacity in bytes (256-dim FP16 / 512-dim UINT8).
-pub const QUERY_BYTES: usize = 1024;
 
 /// Tasks per QSHR.
 pub const TASKS_PER_QSHR: usize = 8;
 
 /// QSHRs per NDP unit.
 pub const QSHRS_PER_UNIT: usize = 32;
-
-/// Lifecycle of one QSHR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QshrState {
-    /// Unallocated.
-    Free,
-    /// Allocated; waiting for query data and/or tasks.
-    Loading,
-    /// Processing comparison tasks.
-    Busy,
-    /// All tasks finished; results await a poll.
-    Done,
-}
-
-/// One query status handling register.
-#[derive(Debug, Clone)]
-pub struct Qshr {
-    state: QshrState,
-    query_slices: u16,
-    query_slices_expected: u16,
-    tasks: Vec<SearchTask>,
-    results: Vec<f32>,
-    /// Fetch counter: current task index.
-    pub task_index: usize,
-    /// Fetch counter: 64 B fetches completed within the current task.
-    pub fetches_in_task: u32,
-}
-
-impl Default for Qshr {
-    fn default() -> Self {
-        Qshr {
-            state: QshrState::Free,
-            query_slices: 0,
-            query_slices_expected: 0,
-            tasks: Vec::new(),
-            results: Vec::new(),
-            task_index: 0,
-            fetches_in_task: 0,
-        }
-    }
-}
-
-impl Qshr {
-    /// Current state.
-    pub fn state(&self) -> QshrState {
-        self.state
-    }
-
-    /// Allocate for a query whose upload takes `slices` 64 B writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the QSHR is not free or `slices` exceeds the buffer.
-    pub fn allocate(&mut self, slices: u16) {
-        assert_eq!(self.state, QshrState::Free, "QSHR already in use");
-        assert!(
-            (slices as usize) <= QUERY_BYTES / 64,
-            "query exceeds the 1 kB QSHR buffer"
-        );
-        self.state = QshrState::Loading;
-        self.query_slices = 0;
-        self.query_slices_expected = slices.max(1);
-        self.tasks.clear();
-        self.results.clear();
-        self.task_index = 0;
-        self.fetches_in_task = 0;
-    }
-
-    /// Deliver one set-query slice.
-    pub fn receive_query_slice(&mut self) {
-        assert_eq!(self.state, QshrState::Loading, "not loading");
-        self.query_slices += 1;
-    }
-
-    /// Deliver the set-search tasks. The paper's optimization issues
-    /// set-search before the query finishes uploading, so this is legal in
-    /// the loading state.
-    ///
-    /// # Errors
-    ///
-    /// Rejects delivery to a non-loading QSHR and deliveries that would
-    /// overfill the eight task slots; the QSHR is unchanged on error.
-    pub fn receive_tasks(&mut self, tasks: &[SearchTask]) -> Result<(), crate::NdpError> {
-        if self.state != QshrState::Loading {
-            return Err(crate::NdpError::BadState {
-                expected: QshrState::Loading,
-                actual: self.state,
-            });
-        }
-        let total = self.tasks.len() + tasks.len();
-        if total > TASKS_PER_QSHR {
-            return Err(crate::NdpError::TooManyTasks { total });
-        }
-        self.tasks.extend_from_slice(tasks);
-        self.results
-            .extend(std::iter::repeat_n(RESULT_INVALID, tasks.len()));
-        Ok(())
-    }
-
-    /// Whether both the query and at least one task have arrived.
-    pub fn ready(&self) -> bool {
-        self.state == QshrState::Loading
-            && self.query_slices >= self.query_slices_expected
-            && !self.tasks.is_empty()
-    }
-
-    /// Begin processing (query + tasks present).
-    ///
-    /// # Errors
-    ///
-    /// Rejects a start while the query or the tasks are still missing.
-    pub fn start(&mut self) -> Result<(), crate::NdpError> {
-        if !self.ready() {
-            return Err(crate::NdpError::NotReady { state: self.state });
-        }
-        self.state = QshrState::Busy;
-        Ok(())
-    }
-
-    /// The task currently being processed.
-    pub fn current_task(&self) -> Option<&SearchTask> {
-        if self.state == QshrState::Busy {
-            self.tasks.get(self.task_index)
-        } else {
-            None
-        }
-    }
-
-    /// Record one completed 64 B fetch for the current task.
-    pub fn record_fetch(&mut self) {
-        self.fetches_in_task += 1;
-    }
-
-    /// Finish the current task with `result` (`None` = early-terminated,
-    /// leaving the invalid MAX sentinel). Advances to the next task and
-    /// returns `true` when all tasks are done.
-    pub fn finish_task(&mut self, result: Option<f32>) -> bool {
-        assert_eq!(self.state, QshrState::Busy, "no task in flight");
-        if let Some(d) = result {
-            self.results[self.task_index] = d;
-        }
-        self.task_index += 1;
-        self.fetches_in_task = 0;
-        if self.task_index >= self.tasks.len() {
-            self.state = QshrState::Done;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Poll the result array (valid in any state; unfinished tasks read as
-    /// the MAX sentinel).
-    pub fn poll(&self) -> &[f32] {
-        &self.results
-    }
-
-    /// Release the QSHR (host-side free after a successful poll).
-    pub fn free(&mut self) {
-        *self = Qshr::default();
-    }
-
-    /// The loaded tasks.
-    pub fn tasks(&self) -> &[SearchTask] {
-        &self.tasks
-    }
-}
-
-/// The register file of one NDP unit.
-#[derive(Debug, Clone)]
-pub struct QshrFile {
-    regs: Vec<Qshr>,
-}
-
-impl Default for QshrFile {
-    fn default() -> Self {
-        QshrFile {
-            regs: vec![Qshr::default(); QSHRS_PER_UNIT],
-        }
-    }
-}
-
-impl QshrFile {
-    /// A full register file (32 QSHRs).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Find a free QSHR id, if any (host software tracks allocation; this
-    /// mirrors that bookkeeping).
-    pub fn find_free(&self) -> Option<usize> {
-        self.regs.iter().position(|q| q.state() == QshrState::Free)
-    }
-
-    /// Access a QSHR.
-    pub fn get(&self, id: usize) -> &Qshr {
-        &self.regs[id]
-    }
-
-    /// Mutable access to a QSHR.
-    pub fn get_mut(&mut self, id: usize) -> &mut Qshr {
-        &mut self.regs[id]
-    }
-
-    /// Ids of QSHRs currently busy (issuing memory accesses in parallel).
-    pub fn busy_ids(&self) -> Vec<usize> {
-        (0..self.regs.len())
-            .filter(|&i| self.regs[i].state() == QshrState::Busy)
-            .collect()
-    }
-
-    /// Total storage modeled, in bytes (the paper: 2148 B × 32 ≈ 67 kB).
-    pub fn storage_bytes() -> usize {
-        // query (1 kB) + current vector (1 kB) + 8 × (addr 4 + thr 4 +
-        // result 4) B + counters.
-        (QUERY_BYTES + QUERY_BYTES + TASKS_PER_QSHR * 12 + 4) * QSHRS_PER_UNIT
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn task(addr: u32) -> SearchTask {
-        SearchTask {
-            addr,
-            threshold: 10.0,
-        }
-    }
-
-    #[test]
-    fn lifecycle() {
-        let mut q = Qshr::default();
-        assert_eq!(q.state(), QshrState::Free);
-        q.allocate(2);
-        assert_eq!(q.state(), QshrState::Loading);
-        q.receive_tasks(&[task(0), task(64)]).expect("loading");
-        assert!(!q.ready(), "query not yet uploaded");
-        q.receive_query_slice();
-        q.receive_query_slice();
-        assert!(q.ready());
-        q.start().expect("ready");
-        assert_eq!(q.current_task().map(|t| t.addr), Some(0));
-        q.record_fetch();
-        assert_eq!(q.fetches_in_task, 1);
-        assert!(!q.finish_task(Some(3.0)));
-        assert_eq!(q.current_task().map(|t| t.addr), Some(64));
-        assert!(q.finish_task(None));
-        assert_eq!(q.state(), QshrState::Done);
-        assert_eq!(q.poll(), &[3.0, RESULT_INVALID]);
-        q.free();
-        assert_eq!(q.state(), QshrState::Free);
-    }
-
-    #[test]
-    fn set_search_before_query_completes() {
-        // §5.2 optimization: tasks can arrive before the query finishes.
-        let mut q = Qshr::default();
-        q.allocate(16);
-        q.receive_tasks(&[task(0)]).expect("loading");
-        for _ in 0..16 {
-            q.receive_query_slice();
-        }
-        assert!(q.ready());
-    }
-
-    #[test]
-    #[should_panic(expected = "already in use")]
-    fn double_allocate_panics() {
-        let mut q = Qshr::default();
-        q.allocate(1);
-        q.allocate(1);
-    }
-
-    #[test]
-    fn too_many_tasks_rejected() {
-        let mut q = Qshr::default();
-        q.allocate(1);
-        let tasks: Vec<SearchTask> = (0..9).map(|i| task(i * 64)).collect();
-        assert_eq!(
-            q.receive_tasks(&tasks),
-            Err(crate::NdpError::TooManyTasks { total: 9 })
-        );
-        assert!(q.tasks().is_empty(), "QSHR unchanged on rejection");
-        // Overfill across two deliveries is also rejected.
-        q.receive_tasks(&tasks[..5]).expect("first five fit");
-        assert_eq!(
-            q.receive_tasks(&tasks[..4]),
-            Err(crate::NdpError::TooManyTasks { total: 9 })
-        );
-        assert_eq!(q.tasks().len(), 5);
-    }
-
-    #[test]
-    fn tasks_to_wrong_state_rejected() {
-        let mut q = Qshr::default();
-        assert_eq!(
-            q.receive_tasks(&[task(0)]),
-            Err(crate::NdpError::BadState {
-                expected: QshrState::Loading,
-                actual: QshrState::Free,
-            })
-        );
-        assert_eq!(
-            q.start(),
-            Err(crate::NdpError::NotReady {
-                state: QshrState::Free
-            })
-        );
-    }
-
-    #[test]
-    fn file_tracks_busy_sets() {
-        let mut f = QshrFile::new();
-        assert_eq!(f.find_free(), Some(0));
-        f.get_mut(0).allocate(1);
-        f.get_mut(0).receive_query_slice();
-        f.get_mut(0).receive_tasks(&[task(0)]).expect("loading");
-        f.get_mut(0).start().expect("ready");
-        assert_eq!(f.find_free(), Some(1));
-        assert_eq!(f.busy_ids(), vec![0]);
-    }
-
-    #[test]
-    fn storage_matches_paper_scale() {
-        // Paper: 2148 B × 32 = 67.125 kB. Our model counts the same
-        // fields and lands within a few hundred bytes.
-        let b = QshrFile::storage_bytes();
-        assert!((60_000..75_000).contains(&b), "{b}");
-    }
-}

@@ -2,12 +2,12 @@
 //! dynamic batch formation, and simulated execution on the NDP device.
 //!
 //! The engine advances a single simulated clock (memory cycles). Queries
-//! arrive open-loop from [`generate_arrivals`](crate::arrival::generate_arrivals);
-//! an admission controller sheds on queue-depth backpressure and expired
-//! deadlines; a weighted-fair queue picks which admitted queries join the
-//! next batch; a dynamic batch former dispatches when the batch fills,
-//! the oldest query has lingered long enough, or no more arrivals are
-//! coming; and each dispatched batch executes through the wave model
+//! arrive open-loop from [`generate_arrivals`]; an admission controller
+//! sheds on queue-depth backpressure and expired deadlines; a
+//! weighted-fair queue picks which admitted queries join the next batch;
+//! a dynamic batch former dispatches when the batch fills, the oldest
+//! query has lingered long enough, or no more arrivals are coming; and
+//! each dispatched batch executes through the wave model
 //! ([`WaveContext`]) of the cycle-level simulator.
 //!
 //! Determinism: the loop is strictly event-ordered, every tie is broken

@@ -61,21 +61,17 @@ const BROWNOUT_MAX_LEVEL: u32 = 3;
 /// Configuration of the resilience layer. Turning the layer on also
 /// turns on brownout admission and assumes every shard is fully
 /// replicated across rank groups (the serving deployment model), so any
-/// offload can re-route.
+/// offload can re-route. Every rank group's circuit breaker follows
+/// [`BreakerConfig::default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceConfig {
-    /// Circuit-breaker policy per rank group.
-    pub breaker: BreakerConfig,
     /// Whether timed-out offloads are hedged to a replica group.
     pub hedging: bool,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
-        ResilienceConfig {
-            breaker: BreakerConfig::default(),
-            hedging: true,
-        }
+        ResilienceConfig { hedging: true }
     }
 }
 
@@ -83,10 +79,7 @@ impl ResilienceConfig {
     /// The default layer with hedging switched off (breakers and
     /// brownout only) — the control arm of the hedging comparison.
     pub fn without_hedging() -> Self {
-        ResilienceConfig {
-            hedging: false,
-            ..ResilienceConfig::default()
-        }
+        ResilienceConfig { hedging: false }
     }
 }
 
@@ -310,7 +303,7 @@ impl FleetState {
         FleetState {
             injector,
             storm,
-            health: resilience.map(|r| HealthTracker::new(n_groups, r.breaker)),
+            health: resilience.map(|_| HealthTracker::new(n_groups, BreakerConfig::default())),
             hedging: resilience.is_some_and(|r| r.hedging),
             n_groups,
             group_size: partitioner.group_size(),
@@ -756,7 +749,6 @@ mod tests {
     fn without_hedging_disables_only_hedging() {
         let r = ResilienceConfig::without_hedging();
         assert!(!r.hedging);
-        assert_eq!(r.breaker, BreakerConfig::default());
         assert!(ResilienceConfig::default().hedging);
     }
 }

@@ -95,8 +95,8 @@ mod tests {
 
     #[test]
     fn wraps_and_sources() {
-        let e: AnsmetError = NdpError::NotConfigured.into();
-        assert!(e.to_string().contains("configured"));
+        let e: AnsmetError = NdpError::CorruptHeader { qshr: 4 }.into();
+        assert!(e.to_string().contains("ndp: CRC mismatch"));
         assert!(e.source().is_some());
         let e = AnsmetError::RetriesExhausted {
             rank: 2,

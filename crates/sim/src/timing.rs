@@ -205,7 +205,8 @@ impl SubTask {
     }
 }
 
-/// Which driver advances time inside [`run_ndp_batch`].
+/// Which driver advances time inside each NDP batch that [`run_design`]
+/// replays.
 ///
 /// Both produce bit-identical results; `Tick` is the original
 /// scan-every-sub-each-cycle reference kept for equivalence testing.
@@ -823,9 +824,10 @@ pub fn run_design(design: Design, workload: &Workload, config: &SystemConfig) ->
 /// experiment suite re-runs many identical combinations (the energy,
 /// speedup, and fetch-utilization figures all replay the same designs
 /// over the same datasets under the default config). The workload is
-/// identified by its [`Arc`] pointer — sound because shared workloads
-/// live forever in the [`Workload::prepare_shared`] cache and are
-/// immutable behind the `Arc` — and the config by its `Debug` rendering.
+/// identified by its [`Arc`](std::sync::Arc) pointer — sound because
+/// shared workloads live forever in the [`Workload::prepare_shared`]
+/// cache and are immutable behind the `Arc` — and the config by its
+/// `Debug` rendering.
 ///
 /// Hits still count toward [`crate::parallel::queries_simulated`] (the
 /// queries were logically replayed) but add no DRAM tick/skip cycles

@@ -24,7 +24,6 @@ pub mod dataset;
 pub mod dtype;
 pub mod ground_truth;
 pub mod metric;
-pub mod quantize;
 pub mod recall;
 pub mod synth;
 
@@ -32,6 +31,5 @@ pub use dataset::Dataset;
 pub use dtype::ElemType;
 pub use ground_truth::{brute_force_knn, GroundTruth};
 pub use metric::Metric;
-pub use quantize::{scalar_quantize, ScalarQuantizer};
 pub use recall::recall_at_k;
 pub use synth::SynthSpec;

@@ -1,8 +1,8 @@
 //! Snapshot round-trip tests against a committed on-disk fixture:
-//! clean save/load is byte-stable, a single flipped byte surfaces as a
-//! typed checksum error, torn writes are detected and recovered through
-//! the fallback path, and the committed v1 fixture still loads (format
-//! drift guard).
+//! clean save/load is byte-stable, every single-bit flip and every
+//! truncation of the fixture surfaces as a typed error, torn writes are
+//! detected and recovered through the fallback path, and the committed v1
+//! fixture still loads (format drift guard).
 //!
 //! Regenerate the fixture with
 //! `cargo test -p ansmet --test freshness_snapshot -- --ignored`.
@@ -14,7 +14,7 @@ use ansmet::freshness::{
 };
 use ansmet::index::HnswParams;
 use ansmet::vecdata::{Dataset, ElemType, Metric};
-use ansmet_faults::snapshot::{corruption_offset, flip_byte, torn_tail};
+use ansmet_faults::snapshot::{flip_byte, torn_tail};
 
 const FIXTURE: &str = "tests/fixtures/freshness_v1.snap";
 
@@ -76,27 +76,41 @@ fn clean_save_load_is_byte_stable() {
     assert_eq!(a, resaved, "save(load(x)) must reproduce x byte for byte");
 }
 
+/// Any typed error is acceptable (header fields fail shape checks before
+/// the checksum is even computed); silent success is not.
+fn assert_typed(err: SnapshotError) {
+    match err {
+        SnapshotError::ChecksumMismatch { expected, actual } => assert_ne!(expected, actual),
+        SnapshotError::BadMagic { .. }
+        | SnapshotError::UnsupportedVersion { .. }
+        | SnapshotError::Torn { .. }
+        | SnapshotError::Truncated { .. }
+        | SnapshotError::Malformed { .. } => {}
+    }
+}
+
 #[test]
 fn every_flipped_byte_is_a_typed_error() {
-    let (idx, layout, meta) = fixture_state();
-    let blob = save(&idx, &layout, &meta);
-    for seed in 0..16u64 {
-        let mut corrupt = blob.clone();
-        let off = corruption_offset(seed, corrupt.len());
-        flip_byte(&mut corrupt, off, 0x20);
-        let err = load(&corrupt).expect_err("corruption must not load silently");
-        // Any typed error is acceptable (header fields fail shape checks
-        // before the checksum is even computed); silent success is not.
-        match err {
-            SnapshotError::ChecksumMismatch { expected, actual } => {
-                assert_ne!(expected, actual)
+    let fixture = std::fs::read(fixture_path()).expect("committed fixture present");
+    // Every single-bit flip is a typed error, or — should the bit carry
+    // no information — loads a state that saves back to the fixture.
+    for off in 0..fixture.len() {
+        for bit in 0..8 {
+            let mut corrupt = fixture.clone();
+            flip_byte(&mut corrupt, off, 1 << bit);
+            match load(&corrupt) {
+                Err(err) => assert_typed(err),
+                Ok(snap) => assert!(
+                    save(&snap.index, &snap.layout, &snap.meta) == fixture,
+                    "flipping bit {bit} of byte {off} loaded a different state"
+                ),
             }
-            SnapshotError::BadMagic { .. }
-            | SnapshotError::UnsupportedVersion { .. }
-            | SnapshotError::Torn { .. }
-            | SnapshotError::Truncated { .. }
-            | SnapshotError::Malformed { .. } => {}
         }
+    }
+    // Every truncation is a typed error.
+    for kept in 0..fixture.len() {
+        let torn = torn_tail(&fixture, kept);
+        assert_typed(load(&torn).expect_err("a truncated snapshot must not load"));
     }
 }
 

@@ -9,7 +9,9 @@
 //! * brownout admission engages on detected capacity loss;
 //! * the `resilience` experiment artifact is byte-identical across host
 //!   thread counts;
-//! * storm and fault scripts round-trip through their JSON fixtures.
+//! * storm and fault scripts round-trip through their JSON fixtures, and
+//!   no truncation or single-byte corruption of a fixture panics either
+//!   reader.
 
 use ansmet::serve::{
     run_serve, run_serve_with_sink, AdmissionConfig, ResilienceConfig, ServeConfig, ServeReport,
@@ -212,4 +214,33 @@ fn storm_and_fault_fixtures_round_trip() {
     let fplan = FaultPlan::from_json(fsrc.trim()).expect("fixture parses");
     assert_eq!(fplan.to_json(), fsrc.trim(), "fixture is in canonical form");
     assert_eq!(fplan.events().len(), 6);
+}
+
+#[test]
+fn corrupted_plan_fixtures_never_panic() {
+    // Every truncation and every single-byte replacement of both JSON
+    // fixtures goes through both plan readers, which must return rather
+    // than panic. Bytes that break UTF-8 reach the readers as U+FFFD.
+    let parse_both = |bytes: &[u8]| {
+        let src = String::from_utf8_lossy(bytes);
+        let _ = FaultPlan::from_json(&src);
+        let _ = StormPlan::from_json(&src);
+    };
+    for fixture in [
+        include_str!("fixtures/fault_plan.json"),
+        include_str!("fixtures/storm_plan.json"),
+    ] {
+        let bytes = fixture.as_bytes();
+        for len in 0..bytes.len() {
+            parse_both(&bytes[..len]);
+        }
+        let mut corrupt = bytes.to_vec();
+        for off in 0..bytes.len() {
+            for value in 0..=u8::MAX {
+                corrupt[off] = value;
+                parse_both(&corrupt);
+            }
+            corrupt[off] = bytes[off];
+        }
+    }
 }
