@@ -10,9 +10,7 @@
 
 use std::fmt::Write as _;
 
-use ansmet_bench::{
-    provenance_fields, run_experiment_with_artifacts, Scale, EXPERIMENTS, SERVING_ARTIFACT,
-};
+use ansmet_bench::{provenance_fields, run_experiment, Scale, EXPERIMENTS, SERVING_ARTIFACT};
 
 fn usage() -> String {
     format!(
@@ -39,14 +37,7 @@ fn timing_json(scale: Scale, threads: usize, records: &[TimingRecord]) -> String
     let total: f64 = records.iter().map(|r| r.seconds).sum();
     s.push_str("{\n");
     s.push_str(&provenance_fields());
-    let _ = writeln!(
-        s,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    );
+    let _ = writeln!(s, "  \"scale\": \"{}\",", scale.as_str());
     let _ = writeln!(s, "  \"threads\": {threads},");
     let _ = writeln!(s, "  \"total_seconds\": {total:.3},");
     s.push_str("  \"experiments\": [\n");
@@ -137,7 +128,7 @@ fn main() {
         let q0 = ansmet_sim::queries_simulated();
         let c0 = ansmet_sim::cycles_simulated();
         let k0 = ansmet_sim::cycles_skipped();
-        match run_experiment_with_artifacts(name, scale) {
+        match run_experiment(name, scale) {
             Some((report, artifacts)) => {
                 println!("{report}");
                 let seconds = t0.elapsed().as_secs_f64();

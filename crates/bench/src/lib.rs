@@ -64,127 +64,75 @@ pub struct Artifact {
 }
 
 /// Run one experiment by name, returning its text report plus any
-/// artifacts it wants written (`serve` and `resilience` emit their
-/// report JSON; `trace` emits a Perfetto trace and a metrics snapshot;
-/// everything else emits none). BENCH JSON artifacts carry a provenance
-/// header (git revision + config fingerprint).
+/// artifacts it wants written: `serve`, `resilience`, `freshness`,
+/// `cluster` and `ops` emit their report JSON (`ops` also a Prometheus
+/// exposition), `trace` a Perfetto trace and a metrics snapshot, and
+/// every paper table or figure none. BENCH JSON artifacts carry a
+/// provenance header (git revision + config fingerprint).
 ///
 /// Returns `None` for an unknown name.
-pub fn run_experiment_with_artifacts(name: &str, scale: Scale) -> Option<(String, Vec<Artifact>)> {
-    match name {
-        "serve" => {
-            let (text, json) = ansmet_serve::serve_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: SERVING_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "resilience" => {
-            let (text, json) = ansmet_serve::resilience_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: RESILIENCE_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "freshness" => {
-            let (text, json) = ansmet_freshness::freshness_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: FRESHNESS_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "cluster" => {
-            let (text, json) = ansmet_cluster::cluster_experiment(scale);
-            Some((
-                text,
-                vec![Artifact {
-                    path: CLUSTER_ARTIFACT,
-                    body: with_provenance(&json),
-                }],
-            ))
-        }
-        "ops" => {
-            let (text, json, expo) = ops_experiment(scale);
-            Some((
-                text,
-                vec![
-                    Artifact {
-                        path: OPS_ARTIFACT,
-                        body: with_provenance(&json),
-                    },
-                    Artifact {
-                        path: OPS_EXPOSITION_ARTIFACT,
-                        body: expo,
-                    },
-                ],
-            ))
-        }
-        "trace" => {
-            let bundle = ansmet_sim::experiment::trace_bundle(scale);
-            Some((
-                bundle.report,
-                vec![
-                    Artifact {
-                        path: TRACE_ARTIFACT,
-                        body: bundle.perfetto_json,
-                    },
-                    Artifact {
-                        path: METRICS_ARTIFACT,
-                        body: with_provenance(&bundle.metrics_json),
-                    },
-                ],
-            ))
-        }
-        _ => run_experiment(name, scale).map(|text| (text, Vec::new())),
-    }
-}
-
-/// Run one experiment by name at the given scale.
-///
-/// Returns `None` for an unknown name.
-pub fn run_experiment(name: &str, scale: Scale) -> Option<String> {
+pub fn run_experiment(name: &str, scale: Scale) -> Option<(String, Vec<Artifact>)> {
     use ansmet_sim::experiment as e;
-    let out = match name {
-        "table2" => e::table2(scale),
-        "fig1" => e::fig1(scale),
-        "fig3" => e::fig3(scale),
+    /// A BENCH JSON artifact, with its provenance header.
+    fn bench(path: &'static str, json: &str) -> Artifact {
+        Artifact {
+            path,
+            body: with_provenance(json),
+        }
+    }
+    let with_json = |path, (text, json): (String, String)| (text, vec![bench(path, &json)]);
+    Some(match name {
+        "table2" => (e::table2(scale), vec![]),
+        "fig1" => (e::fig1(scale), vec![]),
+        "fig3" => (e::fig3(scale), vec![]),
         "fig6" => {
             let ks: &[usize] = match scale {
                 Scale::Quick => &[10],
                 Scale::Full => &[1, 5, 10],
             };
-            e::fig6(scale, ks)
+            (e::fig6(scale, ks), vec![])
         }
-        "fig7" => e::fig7(scale),
-        "fig8" => e::fig8(scale),
-        "fig9" => e::fig9(scale),
-        "fig10" => e::fig10(scale),
-        "fig11" => e::fig11(scale),
-        "fig12" => e::fig12(scale),
-        "table3" => e::table3(scale),
-        "table4" => e::table4(scale),
-        "table5" => e::table5(scale),
-        "loadbal" => e::loadbal(scale),
-        "ablation" => e::ablation(scale),
-        "faults" => e::faults(scale),
-        "serve" => ansmet_serve::serve_experiment(scale).0,
-        "resilience" => ansmet_serve::resilience_experiment(scale).0,
-        "freshness" => ansmet_freshness::freshness_experiment(scale).0,
-        "ops" => ops_experiment(scale).0,
-        "cluster" => ansmet_cluster::cluster_experiment(scale).0,
-        "trace" => e::trace(scale),
+        "fig7" => (e::fig7(scale), vec![]),
+        "fig8" => (e::fig8(scale), vec![]),
+        "fig9" => (e::fig9(scale), vec![]),
+        "fig10" => (e::fig10(scale), vec![]),
+        "fig11" => (e::fig11(scale), vec![]),
+        "fig12" => (e::fig12(scale), vec![]),
+        "table3" => (e::table3(scale), vec![]),
+        "table4" => (e::table4(scale), vec![]),
+        "table5" => (e::table5(scale), vec![]),
+        "loadbal" => (e::loadbal(scale), vec![]),
+        "ablation" => (e::ablation(scale), vec![]),
+        "faults" => (e::faults(scale), vec![]),
+        "serve" => with_json(SERVING_ARTIFACT, ansmet_serve::serve_experiment(scale)),
+        "resilience" => with_json(
+            RESILIENCE_ARTIFACT,
+            ansmet_serve::resilience_experiment(scale),
+        ),
+        "freshness" => with_json(
+            FRESHNESS_ARTIFACT,
+            ansmet_freshness::freshness_experiment(scale),
+        ),
+        "cluster" => with_json(CLUSTER_ARTIFACT, ansmet_cluster::cluster_experiment(scale)),
+        "ops" => {
+            let (text, json, expo) = ops_experiment(scale);
+            let exposition = Artifact {
+                path: OPS_EXPOSITION_ARTIFACT,
+                body: expo,
+            };
+            (text, vec![bench(OPS_ARTIFACT, &json), exposition])
+        }
+        "trace" => {
+            let bundle = e::trace_bundle(scale);
+            let perfetto = Artifact {
+                path: TRACE_ARTIFACT,
+                body: bundle.perfetto_json,
+            };
+            let metrics = bench(METRICS_ARTIFACT, &bundle.metrics_json);
+            (bundle.report, vec![perfetto, metrics])
+        }
         _ => return None,
-    };
-    Some(out)
+    })
 }
 
 /// The git revision of the working tree (`git describe --always
@@ -238,7 +186,6 @@ mod tests {
     #[test]
     fn unknown_experiment_is_none() {
         assert!(run_experiment("fig99", Scale::Quick).is_none());
-        assert!(run_experiment_with_artifacts("fig99", Scale::Quick).is_none());
     }
 
     #[test]
@@ -252,14 +199,14 @@ mod tests {
 
     #[test]
     fn serve_and_trace_emit_artifacts_and_others_do_not() {
-        let (text, artifacts) = run_experiment_with_artifacts("serve", Scale::Quick).unwrap();
+        let (text, artifacts) = run_experiment("serve", Scale::Quick).unwrap();
         assert!(text.contains("serving"));
         assert_eq!(artifacts.len(), 1);
         assert_eq!(artifacts[0].path, SERVING_ARTIFACT);
         assert!(artifacts[0].body.contains("\"experiment\": \"serve\""));
         assert!(artifacts[0].body.contains("\"git_revision\""));
 
-        let (text, artifacts) = run_experiment_with_artifacts("trace", Scale::Quick).unwrap();
+        let (text, artifacts) = run_experiment("trace", Scale::Quick).unwrap();
         assert!(text.contains("cycle attribution"));
         assert_eq!(artifacts.len(), 2);
         assert_eq!(artifacts[0].path, TRACE_ARTIFACT);
@@ -267,7 +214,7 @@ mod tests {
         assert_eq!(artifacts[1].path, METRICS_ARTIFACT);
         assert!(artifacts[1].body.contains("\"config_fingerprint\""));
 
-        let (_, none) = run_experiment_with_artifacts("table2", Scale::Quick).unwrap();
+        let (_, none) = run_experiment("table2", Scale::Quick).unwrap();
         assert!(none.is_empty());
     }
 

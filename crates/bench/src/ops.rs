@@ -29,7 +29,7 @@ use ansmet_freshness::{
     run_churn, run_churn_with_sink, ChurnConfig, EpochConfig, LayoutArtifacts, MutableIndex,
     UpdateTenantSpec,
 };
-use ansmet_obs::{ForensicCause, OpsConfig, OpsPlane, OpsReport, SloSpec};
+use ansmet_obs::{OpsConfig, OpsPlane, OpsReport, SloSpec};
 use ansmet_serve::{
     generate_arrivals, ops_serve_config, run_serve, run_serve_with_sink, ArrivalProcess,
     MaintenancePlan, ResilienceConfig, TenantSpec,
@@ -357,14 +357,7 @@ pub fn ops_experiment(scale: Scale) -> (String, String, String) {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"experiment\": \"ops\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    );
+    let _ = writeln!(json, "  \"scale\": \"{}\",", scale.as_str());
     let _ = writeln!(json, "  \"slo_cycles\": {slo_cycles},");
     let _ = writeln!(
         json,
@@ -390,11 +383,6 @@ pub fn ops_experiment(scale: Scale) -> (String, String, String) {
     expo.push_str(&churn.report.exposition());
 
     (text, json, expo)
-}
-
-/// Assert-friendly view of how many digests carry the given cause.
-pub fn digest_cause_count(report: &OpsReport, cause: ForensicCause) -> usize {
-    report.digests.iter().filter(|d| d.cause == cause).count()
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ use ansmet_faults::StormPlan;
 use ansmet_obs::{json_f64, json_string, NoopSink};
 use ansmet_sim::experiment::Scale;
 use ansmet_sim::Workload;
+use ansmet_vecdata::recall::mean_recall_at_k;
 use ansmet_vecdata::SynthSpec;
 
 use crate::partition::RoutingPolicy;
@@ -49,17 +50,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The storm drill's configuration (must be one of the sweep cells).
 const STORM_SHARDS: usize = 4;
 const STORM_POLICY: RoutingPolicy = RoutingPolicy::Hash;
-
-/// Mean recall@k of merged rows against brute-force ground-truth rows.
-fn mean_recall(merged: &[Vec<ansmet_index::Neighbor>], truth: &[Vec<usize>]) -> f64 {
-    assert_eq!(merged.len(), truth.len());
-    let mut acc = 0.0;
-    for (got, want) in merged.iter().zip(truth) {
-        let hit = got.iter().filter(|n| want.contains(&n.id)).count();
-        acc += hit as f64 / want.len().max(1) as f64;
-    }
-    acc / merged.len().max(1) as f64
-}
 
 /// Route every query of `set` over `fleet`, advancing the serving clock
 /// between queries. Returns the totals and the per-query merged rows.
@@ -100,32 +90,37 @@ pub fn cluster_report(scale: Scale) -> ClusterReport {
     let truth = &mono.ground_truth.ids;
 
     let mut configs: Vec<ConfigReport> = Vec::new();
-    let mut healthy_storm_cell: Option<(u64, u64)> = None; // (fingerprint, total latency)
+    // The storm cell's shard set, results fingerprint and total latency.
+    let mut healthy_storm_cell: Option<(ShardSet, u64, u64)> = None;
     for shards in SHARD_COUNTS {
         for policy in RoutingPolicy::all() {
             let set = ShardSet::build(&data, &queries, K, EF, shards, policy, SEED);
             let mut fleet = ClusterFleet::healthy(shards);
             let (stats, merged) = route_all(&set, &mut fleet);
             let fingerprint = results_fingerprint(&merged);
-            if shards == STORM_SHARDS && policy == STORM_POLICY {
-                healthy_storm_cell = Some((fingerprint, stats.latency_total));
-            }
+            let ids: Vec<Vec<usize>> = merged
+                .iter()
+                .map(|row| row.iter().map(|n| n.id).collect())
+                .collect();
             configs.push(ConfigReport {
                 policy,
                 shards,
                 imbalance: set.assignment.imbalance(),
-                recall: mean_recall(&merged, truth),
+                recall: mean_recall_at_k(&ids, truth, K),
                 stats,
                 results_fingerprint: fingerprint,
             });
+            if shards == STORM_SHARDS && policy == STORM_POLICY {
+                healthy_storm_cell = Some((set, fingerprint, stats.latency_total));
+            }
         }
     }
 
     // Storm drill: shard 0 dark for the first half of the healthy
     // timeline, so the breaker trips, failover serves the early
     // queries, and recovery probes close the breaker later on.
-    let (healthy_fp, healthy_total) = healthy_storm_cell.expect("storm cell is part of the sweep");
-    let storm_set = ShardSet::build(&data, &queries, K, EF, STORM_SHARDS, STORM_POLICY, SEED);
+    let (storm_set, healthy_fp, healthy_total) =
+        healthy_storm_cell.expect("storm cell is part of the sweep");
     let storm = StormPlan::single_group_outage(0, 0, (healthy_total / 2).max(1));
     let mut storm_fleet = ClusterFleet::new(STORM_SHARDS, FleetConfig::default(), storm);
     let (storm_stats, storm_merged) = route_all(&storm_set, &mut storm_fleet);
@@ -174,14 +169,7 @@ fn render_json(report: &ClusterReport, scale: Scale) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"experiment\": \"cluster\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    );
+    let _ = writeln!(json, "  \"scale\": \"{}\",", scale.as_str());
     let _ = writeln!(json, "  \"dataset\": {},", json_string(&report.dataset));
     let _ = writeln!(
         json,

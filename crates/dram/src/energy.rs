@@ -59,11 +59,6 @@ impl EnergyCounters {
     pub fn total_nj(&self) -> f64 {
         self.act_pre_nj + self.read_nj + self.write_nj + self.refresh_nj + self.background_nj
     }
-
-    /// Total DRAM energy in millijoules.
-    pub fn total_mj(&self) -> f64 {
-        self.total_nj() * 1e-6
-    }
 }
 
 impl EnergyModel {

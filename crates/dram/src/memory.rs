@@ -37,33 +37,6 @@ pub struct MemoryStats {
     pub ndp_bus_busy_cycles: u64,
 }
 
-impl MemoryStats {
-    /// Mean host-read latency in cycles (0 when no reads completed).
-    pub fn avg_host_latency(&self) -> f64 {
-        let n = self.host_reads + self.host_writes;
-        if n == 0 {
-            0.0
-        } else {
-            self.host_latency_sum as f64 / n as f64
-        }
-    }
-
-    /// Mean NDP-request latency in cycles (0 when none completed).
-    pub fn avg_ndp_latency(&self) -> f64 {
-        let n = self.ndp_reads + self.ndp_writes;
-        if n == 0 {
-            0.0
-        } else {
-            self.ndp_latency_sum as f64 / n as f64
-        }
-    }
-
-    /// Total completed 64 B transfers.
-    pub fn total_accesses(&self) -> u64 {
-        self.host_reads + self.host_writes + self.ndp_reads + self.ndp_writes
-    }
-}
-
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PendingDone {
     finish: u64,

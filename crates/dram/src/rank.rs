@@ -81,11 +81,6 @@ impl Rank {
         &self.banks[bank_group * self.banks_per_group + bank]
     }
 
-    /// Number of row-buffer hits across all banks.
-    pub fn total_row_hits(&self) -> u64 {
-        self.banks.iter().map(|b| b.row_hits).sum()
-    }
-
     /// Whether every bank is precharged (required before refresh).
     pub fn all_precharged(&self) -> bool {
         self.banks.iter().all(Bank::is_precharged)

@@ -1,11 +1,11 @@
 //! Freshness microbenchmarks: streaming-insert throughput (incremental
-//! HNSW and IVF append), tombstone + compaction cost, and snapshot
-//! save/load round trips — the hot paths of the churn loop.
+//! HNSW insertion), tombstone + compaction cost, and snapshot save/load
+//! round trips — the hot paths of the churn loop.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use ansmet_freshness::{load, save, EpochMeta, LayoutArtifacts, MutableIndex};
-use ansmet_index::{HnswParams, IvfParams};
+use ansmet_index::HnswParams;
 use ansmet_vecdata::{Dataset, SynthSpec};
 
 const LEVEL_SEED: u64 = 77;
@@ -37,15 +37,6 @@ fn bench_insert(c: &mut Criterion) {
             idx.generation()
         })
     });
-    group.bench_function("ivf-stream-200", |b| {
-        b.iter(|| {
-            let mut idx = MutableIndex::build_ivf(base.clone(), IvfParams::default());
-            for v in &pending {
-                black_box(idx.insert(v));
-            }
-            idx.generation()
-        })
-    });
     group.finish();
 }
 
@@ -55,15 +46,6 @@ fn bench_compact(c: &mut Criterion) {
     group.bench_function("hnsw-delete100-compact", |b| {
         b.iter(|| {
             let mut idx = MutableIndex::build_hnsw(base.clone(), HnswParams::quick(), LEVEL_SEED);
-            for id in (0..1_000).step_by(10) {
-                idx.delete(id);
-            }
-            black_box(idx.compact())
-        })
-    });
-    group.bench_function("ivf-delete100-compact", |b| {
-        b.iter(|| {
-            let mut idx = MutableIndex::build_ivf(base.clone(), IvfParams::default());
             for id in (0..1_000).step_by(10) {
                 idx.delete(id);
             }

@@ -3,21 +3,19 @@
 //!
 //! Freshness work is batched into *epochs* on the serving clock: every
 //! `interval_cycles` the manager stops the (simulated) device, purges
-//! tombstones, rebalances IVF lists, re-validates the layout artifacts
-//! against the mutated data, and ships replica diffs. The pause is
-//! charged in integer cycles from fixed per-unit costs, so compaction
-//! pressure shows up as measurable tail latency in the churn report —
-//! and the whole schedule is bit-reproducible.
+//! tombstones, re-validates the layout artifacts against the mutated
+//! data, and ships replica diffs. The pause is charged in integer cycles
+//! from fixed per-unit costs, so compaction pressure shows up as
+//! measurable tail latency in the churn report — and the whole schedule
+//! is bit-reproducible.
 
-use crate::mutable::{CompactStats, MutableIndex};
+use crate::mutable::MutableIndex;
 use crate::revalidate::{LayoutArtifacts, RevalidationReport};
 
 /// Fixed cost of entering/leaving an epoch (quiesce + barrier).
 pub const EPOCH_BASE_CYCLES: u64 = 4_096;
-/// Cycles to unlink one tombstoned graph node (or purge one IVF entry).
+/// Cycles to unlink one tombstoned graph node.
 pub const COMPACT_PURGE_CYCLES: u64 = 1_024;
-/// Cycles to move one IVF member between lists during rebalance.
-pub const COMPACT_MOVE_CYCLES: u64 = 96;
 /// Cycles to re-validate one live vector against the layout plan.
 pub const REVALIDATE_CYCLES_PER_VECTOR: u64 = 12;
 /// Cycles to ship one replica add/remove to a rank group.
@@ -47,8 +45,8 @@ impl Default for EpochConfig {
 pub struct EpochReport {
     /// 1-based epoch number.
     pub epoch: u64,
-    /// Compaction outcome.
-    pub compacted: CompactStats,
+    /// Tombstoned vectors the compaction unlinked from the graph.
+    pub purged: usize,
     /// Re-validation outcome.
     pub revalidated: RevalidationReport,
     /// Modeled stop-the-device pause, in cycles.
@@ -59,12 +57,8 @@ impl std::fmt::Display for EpochReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "epoch {}: purged {}, moved {}, paused {} cycles; {}",
-            self.epoch,
-            self.compacted.purged,
-            self.compacted.moved,
-            self.pause_cycles,
-            self.revalidated,
+            "epoch {}: purged {}, paused {} cycles; {}",
+            self.epoch, self.purged, self.pause_cycles, self.revalidated,
         )
     }
 }
@@ -116,18 +110,17 @@ impl EpochManager {
         index: &mut MutableIndex,
         layout: &mut LayoutArtifacts,
     ) -> EpochReport {
-        let compacted = index.compact();
+        let purged = index.compact();
         let revalidated = layout.revalidate(index, self.cfg.conservative_headroom);
         let pause_cycles = EPOCH_BASE_CYCLES
-            + compacted.purged as u64 * COMPACT_PURGE_CYCLES
-            + compacted.moved as u64 * COMPACT_MOVE_CYCLES
+            + purged as u64 * COMPACT_PURGE_CYCLES
             + index.live_len() as u64 * REVALIDATE_CYCLES_PER_VECTOR
             + (revalidated.replicas_added + revalidated.replicas_removed) as u64
                 * REPLICA_SHIP_CYCLES;
         self.epoch += 1;
         EpochReport {
             epoch: self.epoch,
-            compacted,
+            purged,
             revalidated,
             pause_cycles,
         }
@@ -151,7 +144,7 @@ mod tests {
         }
         let r = mgr.run_epoch(&mut idx, &mut layout);
         assert_eq!(r.epoch, 1);
-        assert_eq!(r.compacted.purged, 3);
+        assert_eq!(r.purged, 3);
         assert!(
             r.pause_cycles
                 >= EPOCH_BASE_CYCLES
@@ -170,6 +163,30 @@ mod tests {
             idx2.delete(id);
         }
         assert_eq!(mgr2.run_epoch(&mut idx2, &mut layout2), r);
+    }
+
+    #[test]
+    fn pause_is_the_sum_of_its_unit_costs() {
+        let (data, _) = SynthSpec::sift().scaled(200, 1).generate();
+        let mut idx = MutableIndex::build_hnsw(data, HnswParams::quick(), 9);
+        let mut layout = LayoutArtifacts::plan(&idx, 0.01);
+        let mut mgr = EpochManager::new(EpochConfig::default());
+        // A quiet epoch purges nothing; the second purges four nodes.
+        for deleted in [0, 4] {
+            for id in 0..deleted {
+                idx.delete(10 * id + 1);
+            }
+            let r = mgr.run_epoch(&mut idx, &mut layout);
+            let shipped = r.revalidated.replicas_added + r.revalidated.replicas_removed;
+            assert_eq!(r.purged, deleted);
+            assert_eq!(
+                r.pause_cycles,
+                EPOCH_BASE_CYCLES
+                    + deleted as u64 * COMPACT_PURGE_CYCLES
+                    + idx.live_len() as u64 * REVALIDATE_CYCLES_PER_VECTOR
+                    + shipped as u64 * REPLICA_SHIP_CYCLES
+            );
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use ansmet_obs::{json_f64, json_string};
 use ansmet_serve::{ArrivalProcess, TenantSpec};
 use ansmet_sim::experiment::Scale;
 use ansmet_sim::SystemConfig;
+use ansmet_vecdata::recall::mean_recall_at_k;
 use ansmet_vecdata::{Dataset, SynthSpec};
 
 use crate::epoch::EpochConfig;
@@ -93,18 +94,6 @@ fn churn_config(scale: Scale, mem_clock_mhz: u64) -> ChurnConfig {
     }
 }
 
-/// Mean recall@k of `results` (global ids, one row per query) against
-/// brute-force ground truth rows.
-fn mean_recall(results: &[Vec<usize>], truth: &[Vec<usize>]) -> f64 {
-    assert_eq!(results.len(), truth.len());
-    let mut acc = 0.0;
-    for (got, want) in results.iter().zip(truth) {
-        let hit = got.iter().filter(|id| want.contains(id)).count();
-        acc += hit as f64 / want.len().max(1) as f64;
-    }
-    acc / results.len().max(1) as f64
-}
-
 struct RecallComparison {
     churn: f64,
     static_rebuild: f64,
@@ -150,8 +139,8 @@ fn compare_recall(index: &MutableIndex, queries: &[Vec<f32>]) -> RecallCompariso
         .collect();
 
     RecallComparison {
-        churn: mean_recall(&churned, &truth),
-        static_rebuild: mean_recall(&statics, &truth),
+        churn: mean_recall_at_k(&churned, &truth, K),
+        static_rebuild: mean_recall_at_k(&statics, &truth, K),
     }
 }
 
@@ -285,14 +274,7 @@ pub fn freshness_experiment(scale: Scale) -> (String, String) {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"experiment\": \"freshness\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    );
+    let _ = writeln!(json, "  \"scale\": \"{}\",", scale.as_str());
     let _ = writeln!(json, "  \"dataset\": {},", json_string(full_data.name()));
     let _ = writeln!(
         json,
@@ -348,11 +330,10 @@ pub fn freshness_experiment(scale: Scale) -> (String, String) {
             .iter()
             .map(|e| {
                 format!(
-                    "{{\"epoch\": {}, \"purged\": {}, \"moved\": {}, \"admitted\": {}, \
+                    "{{\"epoch\": {}, \"purged\": {}, \"admitted\": {}, \
                      \"kept_conservative\": {}, \"replanned\": {}, \"pause_cycles\": {}}}",
                     e.epoch,
-                    e.compacted.purged,
-                    e.compacted.moved,
+                    e.purged,
                     e.revalidated.admitted,
                     e.revalidated.kept_conservative,
                     e.revalidated.replanned,

@@ -9,9 +9,9 @@
 //! regime on top of the same deterministic machinery:
 //!
 //! * [`mutable`] — [`MutableIndex`]: streaming inserts (incremental HNSW
-//!   insertion with the build's level distribution; IVF list append with
-//!   centroid-drift counters) and tombstone deletes behind a wrapper the
-//!   existing search paths consume unchanged.
+//!   insertion with the build's level distribution) and tombstone
+//!   deletes behind a wrapper the existing search paths consume
+//!   unchanged.
 //! * [`oracle`] — [`FreshEtOracle`]: early termination that serves
 //!   not-yet-revalidated vectors with a conservative exact full fetch,
 //!   so ET bounds stay correct under churn.
@@ -20,8 +20,8 @@
 //!   outlier assumptions still hold, re-plans when too many do not, and
 //!   refreshes the hot-vector replica set.
 //! * [`epoch`] — [`EpochManager`]: background compaction (tombstone
-//!   purge, IVF rebalance) plus re-validation on a fixed cycle cadence,
-//!   with a deterministic pause-cost model.
+//!   purge) plus re-validation on a fixed cycle cadence, with a
+//!   deterministic pause-cost model.
 //! * [`snapshot`] — a checksummed, versioned binary snapshot of index +
 //!   layout plan + epoch metadata, with torn-write detection and
 //!   recovery-on-load from a fallback snapshot.
@@ -33,9 +33,9 @@
 //!   `BENCH_freshness.json`.
 //!
 //! Determinism contract: seeded arrivals and level draws, integer cycle
-//! arithmetic, and canonical orderings (sorted IVF lists, sorted replica
-//! sets) make every report a pure function of its config — bit-identical
-//! across reruns and host thread counts.
+//! arithmetic, and canonical orderings (sorted replica sets) make every
+//! report a pure function of its config — bit-identical across reruns
+//! and host thread counts.
 
 pub mod epoch;
 pub mod experiment;
@@ -47,7 +47,7 @@ pub mod snapshot;
 
 pub use epoch::{EpochConfig, EpochManager, EpochReport};
 pub use experiment::freshness_experiment;
-pub use mutable::{CompactStats, ListDrift, MutableIndex};
+pub use mutable::MutableIndex;
 pub use oracle::FreshEtOracle;
 pub use revalidate::{LayoutArtifacts, RevalidationReport};
 pub use serving::{

@@ -1,24 +1,22 @@
-//! Mutable wrapper over the static indexes: streaming inserts, tombstone
-//! deletes, and compaction.
+//! Mutable wrapper over the static HNSW index: streaming inserts,
+//! tombstone deletes, and compaction.
 //!
-//! [`MutableIndex`] owns the dataset plus exactly one index backend
-//! (HNSW or IVF) and keeps the *read path unchanged*: searches go
-//! through the same `search_with` machinery as the static indexes, with
-//! any [`DistanceOracle`]. Mutations are layered around it:
+//! [`MutableIndex`] owns the dataset plus its HNSW graph and keeps the
+//! *read path unchanged*: searches go through the same `search_with`
+//! machinery as the static index, with any [`DistanceOracle`].
+//! Mutations are layered around it:
 //!
 //! * **Insert** appends to the dataset ([`Dataset::push_vector`]) and
-//!   incrementally extends the index — HNSW insertion draws its layer
-//!   from the same exponential distribution as construction (a dedicated
-//!   streaming RNG, reconstructible from `(level_seed, levels_drawn)` so
-//!   snapshots restore the exact stream position); IVF appends to the
-//!   nearest list and accrues a centroid-drift counter.
-//! * **Delete** sets a tombstone. The vector stays in the graph/list
-//!   until the next compaction; reads over-fetch by the number of
-//!   unpurged tombstones and filter, so results never contain dead ids
-//!   and recall over the live set is unaffected.
-//! * **Compact** (run by the epoch manager) unlinks tombstoned HNSW
-//!   nodes / purges IVF lists, and runs one Lloyd rebalance step on IVF
-//!   so appended vectors migrate to their true nearest centroid.
+//!   incrementally extends the graph. Insertion draws its layer from the
+//!   same exponential distribution as construction (a dedicated
+//!   streaming RNG). Every insert draws exactly one level, so
+//!   `(level_seed, inserts)` pins the stream position and snapshots
+//!   restore it exactly.
+//! * **Delete** sets a tombstone. The vector stays in the graph until
+//!   the next compaction; reads over-fetch by the number of unpurged
+//!   tombstones and filter, so results never contain dead ids and recall
+//!   over the live set is unaffected.
+//! * **Compact** (run by the epoch manager) unlinks tombstoned nodes.
 //!
 //! Every mutation bumps a generation counter; searches hand it to
 //! [`SearchScratch::sync_generation`] so scratch buffers (in particular
@@ -26,51 +24,22 @@
 //! reallocation.
 
 use ansmet_index::{
-    DistanceOracle, ExactOracle, Hnsw, HnswParams, Ivf, IvfParams, Neighbor, SearchResult,
-    SearchScratch, VisitedSet,
+    DistanceOracle, ExactOracle, Hnsw, HnswParams, Neighbor, SearchResult, SearchScratch,
+    VisitedSet,
 };
 use ansmet_vecdata::Dataset;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Per-IVF-list centroid-drift accumulator: how many vectors were
-/// appended since the last rebalance and how far (summed) they landed
-/// from the stale centroid. The epoch manager reads this as a rebalance
-/// urgency signal; compaction resets it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ListDrift {
-    /// Vectors appended to the list since the last rebalance.
-    pub appends: u64,
-    /// Summed distance of those appends to the (stale) centroid.
-    pub dist_sum: f64,
-}
-
-/// What one compaction pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactStats {
-    /// Tombstoned vectors structurally removed from the index.
-    pub purged: usize,
-    /// IVF members that changed list during the rebalance step (always 0
-    /// for HNSW).
-    pub moved: usize,
-}
-
-impl std::fmt::Display for CompactStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "purged {}, moved {}", self.purged, self.moved)
-    }
-}
-
-/// A dataset plus one index backend, mutable online.
+/// A dataset plus its HNSW graph, mutable online.
 ///
-/// Exactly one of the HNSW/IVF backends is present. All mutations are
-/// deterministic: the same construction and mutation sequence produces a
-/// bit-identical index, dataset, and level-RNG position on every run.
+/// All mutations are deterministic: the same construction and mutation
+/// sequence produces a bit-identical graph, dataset, and level-RNG
+/// position on every run.
 #[derive(Debug, Clone)]
 pub struct MutableIndex {
     pub(crate) data: Dataset,
-    pub(crate) hnsw: Option<Hnsw>,
-    pub(crate) ivf: Option<Ivf>,
+    pub(crate) hnsw: Hnsw,
     /// `true` for deleted ids (dead from the reader's perspective).
     pub(crate) tombstones: Vec<bool>,
     /// `true` for tombstoned ids already removed from the index
@@ -84,15 +53,11 @@ pub struct MutableIndex {
     pub(crate) generation: u64,
     /// Seed of the streaming level RNG (HNSW level assignment).
     pub(crate) level_seed: u64,
-    /// Levels drawn so far — with `level_seed`, pins the RNG position so
-    /// a restored snapshot continues the exact same level stream.
-    pub(crate) levels_drawn: u64,
-    /// Total inserts applied over the index lifetime.
+    /// Total inserts applied over the index lifetime — also the number
+    /// of levels drawn from the streaming RNG.
     pub(crate) inserts: u64,
     /// Total deletes applied over the index lifetime.
     pub(crate) deletes: u64,
-    /// Per-list drift counters (empty for HNSW).
-    pub(crate) drift: Vec<ListDrift>,
     /// Tombstoned ids total (purged or not).
     dead: usize,
     /// Tombstoned ids still physically present in the index.
@@ -102,119 +67,58 @@ pub struct MutableIndex {
 }
 
 impl MutableIndex {
-    /// Wrap an already-built HNSW index. `level_seed` seeds the
-    /// *streaming* level RNG (independent of the build seed, so a
+    /// Build an HNSW index over `data` and wrap it. `level_seed` seeds
+    /// the *streaming* level RNG (independent of the build seed, so a
     /// snapshot can replay it without replaying the build).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index and dataset disagree on length.
-    pub fn from_hnsw(data: Dataset, hnsw: Hnsw, level_seed: u64) -> Self {
-        assert_eq!(
-            hnsw.len(),
-            data.len(),
-            "index covers {} vectors, dataset has {}",
-            hnsw.len(),
-            data.len()
-        );
-        let n = data.len();
-        MutableIndex {
-            data,
-            hnsw: Some(hnsw),
-            ivf: None,
-            tombstones: vec![false; n],
-            purged: vec![false; n],
-            conservative: vec![false; n],
-            generation: 0,
-            level_seed,
-            levels_drawn: 0,
-            inserts: 0,
-            deletes: 0,
-            drift: Vec::new(),
-            dead: 0,
-            unpurged_dead: 0,
-            rng: SmallRng::seed_from_u64(level_seed),
-            insert_visited: VisitedSet::new(n),
-        }
-    }
-
-    /// Build an HNSW backend over `data` and wrap it.
     pub fn build_hnsw(data: Dataset, params: HnswParams, level_seed: u64) -> Self {
         let hnsw = Hnsw::build(&data, params);
-        Self::from_hnsw(data, hnsw, level_seed)
+        let fresh = vec![false; data.len()];
+        Self::restore(
+            data,
+            hnsw,
+            fresh.clone(),
+            fresh.clone(),
+            fresh,
+            0,
+            level_seed,
+            0,
+            0,
+        )
     }
 
-    /// Wrap an already-built IVF index.
+    /// Rebuild from snapshot parts, replaying the level RNG past the
+    /// `inserts` levels already drawn so subsequent inserts draw the
+    /// same levels the original index would have.
     ///
     /// # Panics
     ///
-    /// Panics if any list id is out of range for the dataset.
-    pub fn from_ivf(data: Dataset, ivf: Ivf) -> Self {
-        let n = data.len();
-        for c in 0..ivf.n_lists() {
-            for &id in ivf.list(c) {
-                assert!(id < n, "IVF list {c} references id {id} beyond dataset");
-            }
-        }
-        let n_lists = ivf.n_lists();
-        MutableIndex {
-            data,
-            hnsw: None,
-            ivf: Some(ivf),
-            tombstones: vec![false; n],
-            purged: vec![false; n],
-            conservative: vec![false; n],
-            generation: 0,
-            level_seed: 0,
-            levels_drawn: 0,
-            inserts: 0,
-            deletes: 0,
-            drift: vec![ListDrift::default(); n_lists],
-            dead: 0,
-            unpurged_dead: 0,
-            rng: SmallRng::seed_from_u64(0),
-            insert_visited: VisitedSet::new(n),
-        }
-    }
-
-    /// Build an IVF backend over `data` and wrap it.
-    pub fn build_ivf(data: Dataset, params: IvfParams) -> Self {
-        let ivf = Ivf::build(&data, params);
-        Self::from_ivf(data, ivf)
-    }
-
-    /// Rebuild from snapshot parts, replaying the level RNG to its saved
-    /// position so subsequent inserts draw the same levels the original
-    /// index would have.
+    /// Panics if the graph or any flag vector disagrees with the dataset
+    /// on length.
     #[allow(clippy::too_many_arguments)] // snapshot-restore constructor: one arg per persisted field
     pub(crate) fn restore(
         data: Dataset,
-        hnsw: Option<Hnsw>,
-        ivf: Option<Ivf>,
+        hnsw: Hnsw,
         tombstones: Vec<bool>,
         purged: Vec<bool>,
         conservative: Vec<bool>,
         generation: u64,
         level_seed: u64,
-        levels_drawn: u64,
         inserts: u64,
         deletes: u64,
-        drift: Vec<ListDrift>,
     ) -> Self {
-        assert!(
-            hnsw.is_some() ^ ivf.is_some(),
-            "exactly one index backend per snapshot"
-        );
         let n = data.len();
+        assert_eq!(
+            hnsw.len(),
+            n,
+            "index covers {} vectors, dataset has {n}",
+            hnsw.len()
+        );
         assert_eq!(tombstones.len(), n, "tombstone flags out of shape");
         assert_eq!(purged.len(), n, "purge flags out of shape");
         assert_eq!(conservative.len(), n, "conservative flags out of shape");
         let mut rng = SmallRng::seed_from_u64(level_seed);
-        if let Some(h) = &hnsw {
-            let params = h.params().clone();
-            for _ in 0..levels_drawn {
-                let _ = params.sample_level(&mut rng);
-            }
+        for _ in 0..inserts {
+            let _ = hnsw.params().sample_level(&mut rng);
         }
         let dead = tombstones.iter().filter(|&&t| t).count();
         let unpurged_dead = tombstones
@@ -225,16 +129,13 @@ impl MutableIndex {
         MutableIndex {
             data,
             hnsw,
-            ivf,
             tombstones,
             purged,
             conservative,
             generation,
             level_seed,
-            levels_drawn,
             inserts,
             deletes,
-            drift,
             dead,
             unpurged_dead,
             rng,
@@ -247,14 +148,9 @@ impl MutableIndex {
         &self.data
     }
 
-    /// The HNSW backend, if this index uses one.
-    pub fn hnsw(&self) -> Option<&Hnsw> {
-        self.hnsw.as_ref()
-    }
-
-    /// The IVF backend, if this index uses one.
-    pub fn ivf(&self) -> Option<&Ivf> {
-        self.ivf.as_ref()
+    /// The HNSW graph.
+    pub fn hnsw(&self) -> &Hnsw {
+        &self.hnsw
     }
 
     /// Total vectors ever stored (live + tombstoned).
@@ -310,19 +206,9 @@ impl MutableIndex {
         self.inserts
     }
 
-    /// Total deletes applied over the index lifetime.
-    pub fn delete_count(&self) -> u64 {
-        self.deletes
-    }
-
-    /// Per-list IVF drift counters (empty for HNSW).
-    pub fn drift(&self) -> &[ListDrift] {
-        &self.drift
-    }
-
     /// Insert one vector; returns its id.
     ///
-    /// The vector is quantized through the dataset dtype, the index is
+    /// The vector is quantized through the dataset dtype, the graph is
     /// extended incrementally, and the new id starts *conservative*: the
     /// ANSMET layout artifacts (prefix tables, fetch plan) were chosen
     /// before it existed, so until the next epoch re-validates it, early
@@ -336,18 +222,11 @@ impl MutableIndex {
         self.tombstones.push(false);
         self.purged.push(false);
         self.conservative.push(true);
-        if let Some(hnsw) = self.hnsw.as_mut() {
-            let level = hnsw.params().sample_level(&mut self.rng);
-            self.levels_drawn += 1;
-            let node = hnsw.insert_point(&self.data, level, &mut self.insert_visited);
-            debug_assert_eq!(node, id, "index and dataset ids diverged");
-        } else {
-            let ivf = self.ivf.as_mut().expect("one backend always present");
-            let (list, dist) = ivf.append(&self.data, id);
-            let d = &mut self.drift[list];
-            d.appends += 1;
-            d.dist_sum += f64::from(dist);
-        }
+        let level = self.hnsw.params().sample_level(&mut self.rng);
+        let node = self
+            .hnsw
+            .insert_point(&self.data, level, &mut self.insert_visited);
+        debug_assert_eq!(node, id, "index and dataset ids diverged");
         self.inserts += 1;
         self.generation += 1;
         id
@@ -374,52 +253,34 @@ impl MutableIndex {
         true
     }
 
-    /// Structurally remove tombstoned vectors and (for IVF) run one
-    /// Lloyd rebalance step. Called by the epoch manager; safe to call
-    /// at any time.
-    pub fn compact(&mut self) -> CompactStats {
-        let mut stats = CompactStats::default();
+    /// Structurally remove tombstoned vectors from the graph; returns how
+    /// many were purged. Called by the epoch manager; safe to call at any
+    /// time.
+    pub fn compact(&mut self) -> usize {
+        let mut purged = 0;
         if self.unpurged_dead > 0 {
-            if let Some(hnsw) = self.hnsw.as_mut() {
-                let alive: Vec<bool> = self.tombstones.iter().map(|&t| !t).collect();
-                for id in 0..self.tombstones.len() {
-                    if self.tombstones[id] && !self.purged[id] {
-                        hnsw.unlink(&self.data, id, &alive);
-                        self.purged[id] = true;
-                        stats.purged += 1;
-                    }
-                }
-            } else {
-                let ivf = self.ivf.as_mut().expect("one backend always present");
-                ivf.purge(&self.tombstones);
-                for id in 0..self.tombstones.len() {
-                    if self.tombstones[id] && !self.purged[id] {
-                        self.purged[id] = true;
-                        stats.purged += 1;
-                    }
+            let alive: Vec<bool> = self.tombstones.iter().map(|&t| !t).collect();
+            for id in 0..self.tombstones.len() {
+                if self.tombstones[id] && !self.purged[id] {
+                    self.hnsw.unlink(&self.data, id, &alive);
+                    self.purged[id] = true;
+                    purged += 1;
                 }
             }
             self.unpurged_dead = 0;
         }
-        if let Some(ivf) = self.ivf.as_mut() {
-            stats.moved = ivf.rebalance(&self.data);
-            for d in &mut self.drift {
-                *d = ListDrift::default();
-            }
-        }
         self.generation += 1;
-        stats
+        purged
     }
 
     /// Search the live set: `k` nearest live vectors through `oracle`.
     ///
-    /// The underlying index search over-fetches by the number of
+    /// The underlying graph search over-fetches by the number of
     /// unpurged tombstones, then dead ids are filtered and the result
     /// truncated back to `k` — so results never contain deleted vectors
     /// and, because the filtering is oracle-independent, ET-on and
     /// ET-off searches stay bit-identical on mutated indexes. `ef` is
-    /// the beam width for HNSW and the probe count for IVF (clamped to
-    /// the list count).
+    /// the beam width (raised to the over-fetched `k` when smaller).
     pub fn search_with<O: DistanceOracle>(
         &self,
         query: &[f32],
@@ -430,13 +291,9 @@ impl MutableIndex {
     ) -> SearchResult {
         scratch.sync_generation(self.generation, self.data.len());
         let k_eff = k + self.unpurged_dead;
-        let raw = if let Some(hnsw) = &self.hnsw {
-            hnsw.search_with(query, k_eff, ef.max(k_eff), oracle, scratch)
-        } else {
-            let ivf = self.ivf.as_ref().expect("one backend always present");
-            let nprobe = ef.clamp(1, ivf.n_lists());
-            ivf.search_with(query, k_eff, nprobe, oracle, scratch)
-        };
+        let raw = self
+            .hnsw
+            .search_with(query, k_eff, ef.max(k_eff), oracle, scratch);
         let kept: Vec<Neighbor> = raw
             .neighbors()
             .iter()
@@ -539,8 +396,7 @@ mod tests {
             idx.delete(id);
         }
         let before = idx.search_exact(&queries[1], 10, 60);
-        let stats = idx.compact();
-        assert_eq!(stats.purged, 5);
+        assert_eq!(idx.compact(), 5);
         assert_eq!(idx.pending_dead(), 0);
         let after = idx.search_exact(&queries[1], 10, 60);
         // Same live corpus, same oracle: the top results should agree
@@ -548,57 +404,19 @@ mod tests {
         // neighbor is found by both).
         assert_eq!(before.ids()[0], after.ids()[0]);
         // Idempotent: a second compact purges nothing.
-        assert_eq!(idx.compact().purged, 0);
+        assert_eq!(idx.compact(), 0);
     }
 
     #[test]
-    fn ivf_churn_keeps_partition_consistent() {
-        let (data, queries) = sift(400, 2);
-        let held_out: Vec<Vec<f32>> = (360..400).map(|i| data.vector(i).to_vec()).collect();
-        let base = Dataset::from_values(
-            "t",
-            data.dtype(),
-            data.metric(),
-            data.dim(),
-            (0..360).flat_map(|i| data.vector(i).to_vec()).collect(),
-        );
-        let mut idx = MutableIndex::build_ivf(base, IvfParams::default());
-        for v in &held_out {
-            idx.insert(v);
-        }
-        assert!(
-            idx.drift().iter().map(|d| d.appends).sum::<u64>() == 40,
-            "drift counters must see every append"
-        );
-        for id in [0, 41, 100, 333] {
-            idx.delete(id);
-        }
-        let stats = idx.compact();
-        assert_eq!(stats.purged, 4);
-        assert!(idx.drift().iter().all(|d| d.appends == 0));
-        // Every live id is in exactly one list; no dead id remains.
-        let ivf = idx.ivf().expect("ivf backend");
-        let mut seen = vec![0usize; idx.len()];
-        for c in 0..ivf.n_lists() {
-            for &id in ivf.list(c) {
-                seen[id] += 1;
-            }
-        }
-        for (id, &count) in seen.iter().enumerate() {
-            assert_eq!(
-                count,
-                usize::from(idx.is_live(id)),
-                "id {id} listed {count} times"
-            );
-        }
-        let r = idx.search_with(
-            &queries[0],
-            5,
-            ivf.n_lists(),
-            &mut ExactOracle::new(idx.data()),
-            &mut SearchScratch::new(idx.len()),
-        );
-        assert_eq!(r.ids(), idx.live_ground_truth(&queries[0], 5));
+    fn compaction_counts_only_newly_purged_ids() {
+        let (mut idx, _) = hnsw_index(200);
+        idx.delete(3);
+        idx.delete(9);
+        assert_eq!(idx.compact(), 2);
+        idx.delete(40);
+        assert!(!idx.delete(9), "a purged id stays dead");
+        assert_eq!(idx.compact(), 1, "earlier purges are not counted again");
+        assert_eq!(idx.live_len(), 197);
     }
 
     #[test]
@@ -640,26 +458,21 @@ mod tests {
         let mut b = MutableIndex::restore(
             a.data.clone(),
             a.hnsw.clone(),
-            None,
             a.tombstones.clone(),
             a.purged.clone(),
             a.conservative.clone(),
             a.generation,
             a.level_seed,
-            a.levels_drawn,
             a.inserts,
             a.deletes,
-            a.drift.clone(),
         );
         for v in &extra[3..] {
             let ia = a.insert(v);
             let ib = b.insert(v);
             assert_eq!(ia, ib);
-            let ha = a.hnsw().expect("hnsw");
-            let hb = b.hnsw().expect("hnsw");
             assert_eq!(
-                ha.level(ia),
-                hb.level(ib),
+                a.hnsw().level(ia),
+                b.hnsw().level(ib),
                 "restored RNG diverged from the original level stream"
             );
         }

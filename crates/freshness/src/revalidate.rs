@@ -38,7 +38,7 @@ pub struct LayoutArtifacts {
     pub schedule: FetchSchedule,
     /// Common-prefix elimination spec chosen at plan time.
     pub prefix: PrefixSpec,
-    /// Hot-vector replica set (upper-layer HNSW nodes; empty for IVF).
+    /// Hot-vector replica set (upper-layer HNSW nodes).
     pub replicas: ReplicaSet,
     /// Outlier budget handed to the prefix chooser at (re-)plan time.
     pub outlier_budget_frac: f64,
@@ -199,17 +199,15 @@ fn schedule_for(prefix: &PrefixSpec, index: &MutableIndex) -> FetchSchedule {
 }
 
 /// The hot-vector replica set: live upper-layer HNSW nodes (what every
-/// rank group mirrors so greedy descent never crosses groups). IVF has
-/// no descent phase, so its replica set is empty.
+/// rank group mirrors so greedy descent never crosses groups).
 fn replica_plan(index: &MutableIndex) -> ReplicaSet {
-    match index.hnsw() {
-        Some(h) => ReplicaSet::new(
-            h.nodes_at_or_above_layer(1)
-                .into_iter()
-                .filter(|&id| index.is_live(id)),
-        ),
-        None => ReplicaSet::new(std::iter::empty()),
-    }
+    ReplicaSet::new(
+        index
+            .hnsw()
+            .nodes_at_or_above_layer(1)
+            .into_iter()
+            .filter(|&id| index.is_live(id)),
+    )
 }
 
 #[cfg(test)]

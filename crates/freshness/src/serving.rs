@@ -88,7 +88,7 @@ pub struct ChurnConfig {
     pub update_tenants: Vec<UpdateTenantSpec>,
     /// Neighbors returned per read.
     pub k: usize,
-    /// Beam width (HNSW) / probe count (IVF) per read.
+    /// HNSW beam width per read.
     pub ef: usize,
     /// Shared admission limit: total queued items across all tenants.
     pub queue_depth_limit: usize,
@@ -155,7 +155,7 @@ impl ChurnReport {
 
     /// Tombstones purged across all epochs.
     pub fn total_purged(&self) -> u64 {
-        self.epochs.iter().map(|e| e.compacted.purged as u64).sum()
+        self.epochs.iter().map(|e| e.purged as u64).sum()
     }
 
     /// Replica adds + removes shipped across all epochs.
@@ -604,10 +604,7 @@ fn execute_update(
             *insert_cursor += 1;
             let id = index.insert(v);
             report.inserts_applied += 1;
-            match index.hnsw() {
-                Some(h) => INSERT_BASE_CYCLES + (h.level(id) as u64 + 1) * INSERT_LAYER_CYCLES,
-                None => INSERT_BASE_CYCLES,
-            }
+            INSERT_BASE_CYCLES + (index.hnsw().level(id) as u64 + 1) * INSERT_LAYER_CYCLES
         }
         UpdateOp::Delete => {
             // Keep enough live vectors for k-NN to stay meaningful.

@@ -25,20 +25,36 @@
 //! streaming level RNG is replayed to its saved position — searches and
 //! subsequent inserts on a restored index are byte-identical to the
 //! original's.
+//!
+//! A checksum proves integrity, not trust: anyone can recompute it. So
+//! [`load`] checks every count against the bytes left and validates
+//! every field before it allocates or calls an asserting constructor; a
+//! forged buffer is a typed error, never an abort, a panic or a stall.
+//! DESIGN.md §12.5 lists the checks.
+//!
+//! Format v1 reserves a backend tag and an IVF drift-list count. The
+//! writer emits 0 for both, which keeps v1 images byte-compatible, and
+//! the reader rejects any other value.
 
 use ansmet_core::{FetchSchedule, PrefixSpec};
-use ansmet_index::{Hnsw, HnswParams, Ivf};
+use ansmet_index::{Hnsw, HnswParams};
 use ansmet_ndp::ReplicaSet;
 use ansmet_obs::fingerprint64;
 use ansmet_vecdata::{Dataset, ElemType, Metric};
 
-use crate::mutable::{ListDrift, MutableIndex};
+use crate::mutable::MutableIndex;
 use crate::revalidate::LayoutArtifacts;
 
 const MAGIC: u32 = u32::from_le_bytes(*b"ANSF");
 const VERSION: u16 = 1;
 const HEADER_LEN: usize = 16;
 const CHECKSUM_LEN: usize = 8;
+/// Backend tag of the HNSW graph, the only backend this build reads.
+const HNSW_BACKEND: u8 = 0;
+/// Deepest HNSW level a restored level multiplier may ever draw. The
+/// paper's `1 / ln M` reaches 51 at `M = 2`; a forged multiplier past
+/// this would make the next insert allocate layers without bound.
+const MAX_LEVEL: f64 = 64.0;
 
 /// Why a snapshot failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,7 +141,7 @@ pub struct EpochMeta {
 /// A fully restored snapshot.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// The restored mutable index (dataset, backend, tombstones, RNG).
+    /// The restored mutable index (dataset, graph, tombstones, RNG).
     pub index: MutableIndex,
     /// The restored layout plan.
     pub layout: LayoutArtifacts,
@@ -146,30 +162,19 @@ pub fn save(index: &MutableIndex, layout: &LayoutArtifacts, meta: &EpochMeta) ->
     );
     let mut w = Writer::new();
     write_dataset(&mut w, index.data());
-    match (index.hnsw(), index.ivf()) {
-        (Some(h), None) => {
-            w.u8(0);
-            write_hnsw(&mut w, h);
-        }
-        (None, Some(v)) => {
-            w.u8(1);
-            write_ivf(&mut w, v);
-        }
-        _ => unreachable!("MutableIndex always has exactly one backend"),
-    }
+    w.u8(HNSW_BACKEND);
+    write_hnsw(&mut w, index.hnsw());
     w.bools(&index.tombstones);
     w.bools(&index.purged);
     w.bools(&index.conservative);
     w.u64(index.generation);
     w.u64(index.level_seed);
-    w.u64(index.levels_drawn);
+    // Levels drawn: one per insert.
+    w.u64(index.inserts);
     w.u64(index.inserts);
     w.u64(index.deletes);
-    w.u32(index.drift.len() as u32);
-    for d in &index.drift {
-        w.u64(d.appends);
-        w.f64(d.dist_sum);
-    }
+    // Drift lists: an IVF-only section, always empty.
+    w.u32(0);
     write_layout(&mut w, layout);
     w.u64(meta.epoch);
     w.u64(meta.last_epoch_cycle);
@@ -197,9 +202,7 @@ pub fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         });
     }
     if (total as usize) < HEADER_LEN + CHECKSUM_LEN {
-        return Err(SnapshotError::Malformed {
-            what: format!("impossible total length {total}"),
-        });
+        return malformed(format!("impossible total length {total}"));
     }
     let total = total as usize;
     let body_end = total - CHECKSUM_LEN;
@@ -216,65 +219,64 @@ pub fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         pos: 0,
     };
     let data = read_dataset(&mut r)?;
-    let backend = r.u8("backend tag")?;
-    let (hnsw, ivf) = match backend {
-        0 => (Some(read_hnsw(&mut r)?), None),
-        1 => (None, Some(read_ivf(&mut r, data.dim())?)),
-        other => {
-            return Err(SnapshotError::Malformed {
-                what: format!("unknown backend tag {other}"),
-            })
-        }
-    };
     let n = data.len();
+    let backend = r.u8("backend tag")?;
+    if backend != HNSW_BACKEND {
+        return malformed(format!("unknown backend tag {backend}"));
+    }
+    let hnsw = read_hnsw(&mut r, n)?;
     let tombstones = r.bools(n, "tombstones")?;
     let purged = r.bools(n, "purge flags")?;
     let conservative = r.bools(n, "conservative flags")?;
+    if tombstones.iter().all(|&t| t) {
+        return malformed("every vector is tombstoned".into());
+    }
     let generation = r.u64("generation")?;
     let level_seed = r.u64("level seed")?;
     let levels_drawn = r.u64("levels drawn")?;
     let inserts = r.u64("insert count")?;
     let deletes = r.u64("delete count")?;
-    let n_drift = r.u32("drift count")? as usize;
-    let mut drift = Vec::with_capacity(n_drift);
-    for _ in 0..n_drift {
-        drift.push(ListDrift {
-            appends: r.u64("drift appends")?,
-            dist_sum: r.f64("drift distance")?,
-        });
+    if levels_drawn != inserts {
+        return malformed(format!("{levels_drawn} levels drawn for {inserts} inserts"));
     }
-    let layout = read_layout(&mut r)?;
+    if inserts > n as u64 {
+        return malformed(format!("{inserts} inserts into {n} vectors"));
+    }
+    let drift_lists = r.u32("drift count")?;
+    if drift_lists != 0 {
+        return malformed(format!("{drift_lists} IVF drift lists on an HNSW index"));
+    }
+    let layout = read_layout(&mut r, &data)?;
     let meta = EpochMeta {
         epoch: r.u64("epoch count")?,
         last_epoch_cycle: r.u64("last epoch cycle")?,
     };
     if r.pos != r.buf.len() {
-        return Err(SnapshotError::Malformed {
-            what: format!(
-                "{} trailing bytes after the last section",
-                r.buf.len() - r.pos
-            ),
-        });
+        return malformed(format!(
+            "{} trailing bytes after the last section",
+            r.buf.len() - r.pos
+        ));
     }
     let index = MutableIndex::restore(
         data,
         hnsw,
-        ivf,
         tombstones,
         purged,
         conservative,
         generation,
         level_seed,
-        levels_drawn,
         inserts,
         deletes,
-        drift,
     );
     Ok(Snapshot {
         index,
         layout,
         meta,
     })
+}
+
+fn malformed<T>(what: String) -> Result<T, SnapshotError> {
+    Err(SnapshotError::Malformed { what })
 }
 
 /// Load `primary`, recovering from `fallback` (the previous epoch's
@@ -313,11 +315,7 @@ fn dtype_from(code: u8) -> Result<ElemType, SnapshotError> {
         2 => ElemType::F32,
         3 => ElemType::F16,
         4 => ElemType::Bf16,
-        other => {
-            return Err(SnapshotError::Malformed {
-                what: format!("unknown dtype code {other}"),
-            })
-        }
+        other => return malformed(format!("unknown dtype code {other}")),
     })
 }
 
@@ -334,11 +332,7 @@ fn metric_from(code: u8) -> Result<Metric, SnapshotError> {
     Ok(match code {
         0 => Metric::L2,
         1 => Metric::Ip,
-        other => {
-            return Err(SnapshotError::Malformed {
-                what: format!("unknown metric code {other}"),
-            })
-        }
+        other => return malformed(format!("unknown metric code {other}")),
     })
 }
 
@@ -360,15 +354,20 @@ fn read_dataset(r: &mut Reader) -> Result<Dataset, SnapshotError> {
     let dtype = dtype_from(r.u8("dataset dtype")?)?;
     let metric = metric_from(r.u8("dataset metric")?)?;
     let dim = r.u32("dataset dim")? as usize;
-    let n = r.u32("dataset length")? as usize;
     if dim == 0 {
-        return Err(SnapshotError::Malformed {
-            what: "zero-dimensional dataset".into(),
-        });
+        return malformed("zero-dimensional dataset".into());
     }
-    let mut raw = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        raw.push(r.u32("dataset raw words")?);
+    let n = r.count("dataset length", dim * 4)?;
+    if n == 0 {
+        return malformed("empty dataset".into());
+    }
+    let raw = r.words(n * dim, "dataset raw words")?;
+    let bits = dtype.bits();
+    if let Some(&word) = raw.iter().find(|&&w| bits < 32 && w >> bits != 0) {
+        return malformed(format!("raw word {word:#x} wider than {dtype:?}"));
+    }
+    if let Some(&word) = raw.iter().find(|&&w| !dtype.decode(w).is_finite()) {
+        return malformed(format!("raw word {word:#x} is not a finite {dtype:?}"));
     }
     Ok(Dataset::from_raw(name, dtype, metric, dim, raw))
 }
@@ -388,22 +387,16 @@ fn write_hnsw(w: &mut Writer, h: &Hnsw) {
     }
     w.u32(h.entry_point() as u32);
     w.u32(h.layer_count() as u32);
-    w.u32(h.len() as u32);
-    for &level in h.levels() {
-        w.u32(level as u32);
-    }
+    w.u32s(h.levels().iter().map(|&level| level as u32));
     for layer in 0..h.layer_count() {
         for node in 0..h.len() {
-            let links = h.neighbors(layer, node);
-            w.u32(links.len() as u32);
-            for &nb in links {
-                w.u32(nb as u32);
-            }
+            w.u32s(h.neighbors(layer, node).iter().map(|&nb| nb as u32));
         }
     }
 }
 
-fn read_hnsw(r: &mut Reader) -> Result<Hnsw, SnapshotError> {
+/// Read the HNSW section of a dataset of `n` vectors.
+fn read_hnsw(r: &mut Reader, n: usize) -> Result<Hnsw, SnapshotError> {
     let m = r.u32("hnsw m")? as usize;
     let m_max0 = r.u32("hnsw m_max0")? as usize;
     let ef_construction = r.u32("hnsw ef_construction")? as usize;
@@ -420,25 +413,38 @@ fn read_hnsw(r: &mut Reader) -> Result<Hnsw, SnapshotError> {
         seed,
         level_mult,
     };
+    // `sample_level` floors `-ln(u) · mult` for `u` in `[ε, 1)`.
+    let deepest = -f64::EPSILON.ln() * params.effective_level_mult();
+    if !(0.0..MAX_LEVEL).contains(&deepest) {
+        return malformed(format!(
+            "hnsw level multiplier {} draws levels up to {deepest}",
+            params.effective_level_mult()
+        ));
+    }
     let entry = r.u32("hnsw entry")? as usize;
     let layers = r.u32("hnsw layer count")? as usize;
-    let n = r.u32("hnsw node count")? as usize;
-    let mut levels = Vec::with_capacity(n);
-    for _ in 0..n {
-        levels.push(r.u32("hnsw levels")? as usize);
+    let levels = r.u32s("hnsw levels")?;
+    if levels.len() != n {
+        return malformed(format!("hnsw of {} nodes over {n} vectors", levels.len()));
     }
+    if entry >= n || layers == 0 {
+        return malformed("hnsw entry/layer shape invalid".into());
+    }
+    if let Some(level) = levels.iter().find(|&&level| level as usize >= layers) {
+        return malformed(format!("hnsw level {level} beyond {layers} layers"));
+    }
+    // Every node of every layer stores at least its degree word.
+    r.fits(layers.saturating_mul(n), 4, "hnsw degree")?;
     let mut links = Vec::with_capacity(layers);
     for _ in 0..layers {
         let mut layer = Vec::with_capacity(n);
         for _ in 0..n {
-            let deg = r.u32("hnsw degree")? as usize;
+            let deg = r.count("hnsw degree", 4)?;
             let mut nbs = Vec::with_capacity(deg);
             for _ in 0..deg {
                 let nb = r.u32("hnsw link")? as usize;
                 if nb >= n {
-                    return Err(SnapshotError::Malformed {
-                        what: format!("hnsw link {nb} beyond {n} nodes"),
-                    });
+                    return malformed(format!("hnsw link {nb} beyond {n} nodes"));
                 }
                 nbs.push(nb);
             }
@@ -446,102 +452,78 @@ fn read_hnsw(r: &mut Reader) -> Result<Hnsw, SnapshotError> {
         }
         links.push(layer);
     }
-    if entry >= n || layers == 0 {
-        return Err(SnapshotError::Malformed {
-            what: "hnsw entry/layer shape invalid".into(),
-        });
-    }
+    let levels = levels.into_iter().map(|level| level as usize).collect();
     Ok(Hnsw::from_parts(links, levels, entry, params))
-}
-
-fn write_ivf(w: &mut Writer, v: &Ivf) {
-    w.u8(metric_code(v.metric()));
-    w.u32(v.n_lists() as u32);
-    for c in v.centroids() {
-        for &x in c {
-            w.u32(x.to_bits());
-        }
-    }
-    for c in 0..v.n_lists() {
-        let list = v.list(c);
-        w.u32(list.len() as u32);
-        for &id in list {
-            w.u32(id as u32);
-        }
-    }
-}
-
-fn read_ivf(r: &mut Reader, dim: usize) -> Result<Ivf, SnapshotError> {
-    let metric = metric_from(r.u8("ivf metric")?)?;
-    let k = r.u32("ivf list count")? as usize;
-    let mut centroids = Vec::with_capacity(k);
-    for _ in 0..k {
-        let mut c = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            c.push(f32::from_bits(r.u32("ivf centroid")?));
-        }
-        centroids.push(c);
-    }
-    let mut lists = Vec::with_capacity(k);
-    for _ in 0..k {
-        let len = r.u32("ivf list length")? as usize;
-        let mut list = Vec::with_capacity(len);
-        for _ in 0..len {
-            list.push(r.u32("ivf member")? as usize);
-        }
-        lists.push(list);
-    }
-    Ok(Ivf::from_parts(centroids, lists, metric))
 }
 
 fn write_layout(w: &mut Writer, layout: &LayoutArtifacts) {
     w.u8(dtype_code(layout.schedule.dtype()));
     w.u32(layout.schedule.prefix_len());
-    w.u32(layout.schedule.steps().len() as u32);
-    for &s in layout.schedule.steps() {
-        w.u32(s);
-    }
+    w.u32s(layout.schedule.steps().iter().copied());
     w.u8(dtype_code(layout.prefix.dtype()));
     w.u32(layout.prefix.len());
-    w.u32(layout.prefix.dim_prefixes().len() as u32);
-    for &p in layout.prefix.dim_prefixes() {
-        w.u32(p);
-    }
+    w.u32s(layout.prefix.dim_prefixes().iter().copied());
     let replicas = layout.replicas.sorted_ids();
-    w.u32(replicas.len() as u32);
-    for id in replicas {
-        w.u32(id as u32);
-    }
+    w.u32s(replicas.into_iter().map(|id| id as u32));
     w.f64(layout.outlier_budget_frac);
 }
 
-fn read_layout(r: &mut Reader) -> Result<LayoutArtifacts, SnapshotError> {
+/// Read the layout section, validated against the restored `data`.
+fn read_layout(r: &mut Reader, data: &Dataset) -> Result<LayoutArtifacts, SnapshotError> {
+    let dtype = data.dtype();
+    let bits = dtype.bits();
     let sched_dtype = dtype_from(r.u8("schedule dtype")?)?;
     let prefix_len = r.u32("schedule prefix length")?;
-    let n_steps = r.u32("schedule step count")? as usize;
-    let mut steps = Vec::with_capacity(n_steps);
-    for _ in 0..n_steps {
-        steps.push(r.u32("schedule steps")?);
-    }
-    let schedule = FetchSchedule::from_steps(sched_dtype, prefix_len, steps);
+    let steps = r.u32s("schedule steps")?;
     let prefix_dtype = dtype_from(r.u8("prefix dtype")?)?;
     let plen = r.u32("prefix length")?;
-    let n_dims = r.u32("prefix dim count")? as usize;
-    let mut dim_prefixes = Vec::with_capacity(n_dims);
-    for _ in 0..n_dims {
-        dim_prefixes.push(r.u32("prefix values")?);
+    let dim_prefixes = r.u32s("prefix values")?;
+    if sched_dtype != dtype || prefix_dtype != dtype {
+        return malformed(format!(
+            "layout for {sched_dtype:?}/{prefix_dtype:?} over a {dtype:?} dataset"
+        ));
     }
+    if let Some(bad) = steps.iter().find(|s| !(1..=32).contains(*s)) {
+        return malformed(format!("schedule step of {bad} bits"));
+    }
+    let step_bits: u64 = steps.iter().map(|&s| u64::from(s)).sum();
+    if step_bits + u64::from(prefix_len) != u64::from(bits) {
+        return malformed(format!(
+            "schedule steps ({step_bits}) + prefix ({prefix_len}) != {bits}-bit elements"
+        ));
+    }
+    if plen != prefix_len {
+        return malformed(format!(
+            "prefix length {plen} disagrees with the schedule's {prefix_len}"
+        ));
+    }
+    if plen >= bits {
+        return malformed(format!("{plen}-bit prefix of a {bits}-bit element"));
+    }
+    if dim_prefixes.len() != data.dim() {
+        return malformed(format!(
+            "{} prefixes for {} dimensions",
+            dim_prefixes.len(),
+            data.dim()
+        ));
+    }
+    if plen > 0 && dim_prefixes.iter().any(|&p| p >> plen != 0) {
+        return malformed(format!("prefix value wider than {plen} bits"));
+    }
+    let schedule = FetchSchedule::from_steps(sched_dtype, prefix_len, steps);
     let prefix = PrefixSpec::from_parts(prefix_dtype, plen, dim_prefixes);
-    let n_replicas = r.u32("replica count")? as usize;
-    let mut replicas = Vec::with_capacity(n_replicas);
-    for _ in 0..n_replicas {
-        replicas.push(r.u32("replica ids")? as usize);
+    let replicas = r.u32s("replica ids")?;
+    if let Some(id) = replicas.iter().find(|&&id| id as usize >= data.len()) {
+        return malformed(format!("replica id {id} beyond {} vectors", data.len()));
     }
     let outlier_budget_frac = r.f64("outlier budget")?;
+    if !(0.0..=1.0).contains(&outlier_budget_frac) {
+        return malformed(format!("outlier budget {outlier_budget_frac}"));
+    }
     Ok(LayoutArtifacts {
         schedule,
         prefix,
-        replicas: ReplicaSet::new(replicas),
+        replicas: ReplicaSet::new(replicas.into_iter().map(|id| id as usize)),
         outlier_budget_frac,
     })
 }
@@ -576,6 +558,12 @@ impl Writer {
 
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
+    }
+
+    /// A `u32` count, then the words.
+    fn u32s(&mut self, words: impl ExactSizeIterator<Item = u32>) {
+        self.u32(words.len() as u32);
+        words.for_each(|word| self.u32(word));
     }
 
     fn str(&mut self, s: &str) {
@@ -635,17 +623,49 @@ impl<'a> Reader<'a> {
     fn str(&mut self, section: &'static str) -> Result<String, SnapshotError> {
         let len = self.u32(section)? as usize;
         let bytes = self.take(len, section)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Malformed {
-            what: format!("non-UTF-8 {section}"),
-        })
+        String::from_utf8(bytes.to_vec()).or_else(|_| malformed(format!("non-UTF-8 {section}")))
+    }
+
+    /// Fail unless `n` elements of `elem_bytes` each fit in the bytes
+    /// left, so a forged count never drives an allocation.
+    fn fits(
+        &self,
+        n: usize,
+        elem_bytes: usize,
+        section: &'static str,
+    ) -> Result<(), SnapshotError> {
+        match n.checked_mul(elem_bytes) {
+            Some(len) if len <= self.buf.len() - self.pos => Ok(()),
+            _ => Err(SnapshotError::Truncated { section }),
+        }
+    }
+
+    /// A `u32` element count, checked by [`Reader::fits`].
+    fn count(&mut self, section: &'static str, elem_bytes: usize) -> Result<usize, SnapshotError> {
+        let n = self.u32(section)? as usize;
+        self.fits(n, elem_bytes, section)?;
+        Ok(n)
+    }
+
+    /// `n` little-endian words; the caller has checked that they fit.
+    fn words(&mut self, n: usize, section: &'static str) -> Result<Vec<u32>, SnapshotError> {
+        Ok(self
+            .take(n * 4, section)?
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("chunked 4 bytes")))
+            .collect())
+    }
+
+    /// A `u32` count, then that many words.
+    fn u32s(&mut self, section: &'static str) -> Result<Vec<u32>, SnapshotError> {
+        let n = self.count(section, 4)?;
+        self.words(n, section)
     }
 
     fn bools(&mut self, expect: usize, section: &'static str) -> Result<Vec<bool>, SnapshotError> {
         let len = self.u32(section)? as usize;
         if len != expect {
-            return Err(SnapshotError::Malformed {
-                what: format!("{section}: {len} flags for {expect} vectors"),
-            });
+            return malformed(format!("{section}: {len} flags for {expect} vectors"));
         }
         Ok(self.take(len, section)?.iter().map(|&b| b != 0).collect())
     }
@@ -655,7 +675,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use ansmet_faults::snapshot::{corruption_offset, flip_byte, torn_tail};
-    use ansmet_index::{HnswParams, IvfParams};
+    use ansmet_index::HnswParams;
     use ansmet_vecdata::SynthSpec;
 
     fn churned(n: usize) -> (MutableIndex, LayoutArtifacts, Vec<Vec<f32>>) {
@@ -716,23 +736,250 @@ mod tests {
         assert_eq!(save(&idx, &layout, &meta()), save(&idx, &layout, &meta()));
     }
 
-    #[test]
-    fn ivf_round_trips_too() {
-        let (data, queries) = SynthSpec::sift().scaled(250, 2).generate();
-        let mut idx = MutableIndex::build_ivf(data, IvfParams::default());
-        let v0 = idx.data().vector(0).to_vec();
-        idx.insert(&v0);
-        idx.delete(7);
-        let layout = LayoutArtifacts::plan(&idx, 0.01);
-        let bytes = save(&idx, &layout, &meta());
-        let snap = load(&bytes).expect("ivf snapshot loads");
-        assert_eq!(snap.index.drift(), idx.drift());
-        for q in &queries {
-            assert_eq!(
-                snap.index.search_exact(q, 5, 16).ids(),
-                idx.search_exact(q, 5, 16).ids()
-            );
+    /// A snapshot written from independently chosen sections, in
+    /// `save`'s order and with a valid checksum: how a forger pairs
+    /// sections that never coexist in a real index.
+    fn forge(
+        data: &Dataset,
+        graph: &Hnsw,
+        levels_drawn: u64,
+        inserts: u64,
+        layout: impl FnOnce(&mut Writer),
+    ) -> Vec<u8> {
+        let n = data.len();
+        let mut w = Writer::new();
+        write_dataset(&mut w, data);
+        w.u8(HNSW_BACKEND);
+        write_hnsw(&mut w, graph);
+        for _ in 0..3 {
+            w.bools(&vec![false; n]);
         }
+        w.u64(0); // generation
+        w.u64(0); // level seed
+        w.u64(levels_drawn);
+        w.u64(inserts);
+        w.u64(0); // deletes
+        w.u32(0); // drift lists
+        layout(&mut w);
+        w.u64(0); // epoch
+        w.u64(0); // last epoch cycle
+        w.finish()
+    }
+
+    /// A prefix length with its steps (schedule) or values (prefix).
+    type Field<'a> = (u32, &'a [u32]);
+
+    /// A layout section with the given schedule and prefix fields, no
+    /// replicas and a 1 % outlier budget.
+    fn forged_layout(w: &mut Writer, dtype: ElemType, sched: Field, prefix: Field) {
+        w.u8(dtype_code(dtype));
+        w.u32(sched.0);
+        w.u32s(sched.1.iter().copied());
+        w.u8(dtype_code(dtype));
+        w.u32(prefix.0);
+        w.u32s(prefix.1.iter().copied());
+        w.u32(0); // replicas
+        w.f64(0.01);
+    }
+
+    fn assert_malformed(bytes: &[u8], why: &str) {
+        match load(bytes) {
+            Err(SnapshotError::Malformed { .. }) => {}
+            Err(other) => panic!("{why}: expected Malformed, got {other}"),
+            Ok(_) => panic!("{why}: forged snapshot loaded"),
+        }
+    }
+
+    /// `bytes` with `value` written at `off` and the checksum recomputed.
+    fn patched(bytes: &[u8], off: usize, value: u32) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[off..off + 4].copy_from_slice(&value.to_le_bytes());
+        let end = out.len() - CHECKSUM_LEN;
+        let sum = fingerprint64(&out[..end]);
+        out[end..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// Offset of the dataset section's vector count in a saved `idx`.
+    fn length_offset(idx: &MutableIndex) -> usize {
+        HEADER_LEN + 4 + idx.data().name().len() + 2 + 4
+    }
+
+    #[test]
+    fn forged_dataset_length_is_checked_before_allocating() {
+        let (idx, layout, _) = churned(60);
+        let clean = save(&idx, &layout, &meta());
+        // 2^32 - 1 vectors of 128 dims would ask for 2.2 TB.
+        assert_eq!(idx.data().dim(), 128);
+        assert!(matches!(
+            load(&patched(&clean, length_offset(&idx), u32::MAX)),
+            Err(SnapshotError::Truncated {
+                section: "dataset length"
+            })
+        ));
+    }
+
+    #[test]
+    fn graph_must_cover_exactly_the_dataset() {
+        let (small, layout, _) = churned(100);
+        let (big, _, _) = churned(200);
+        let bytes = forge(small.data(), big.hnsw(), 0, 0, |w| write_layout(w, &layout));
+        assert_malformed(&bytes, "200-node graph over 100 vectors");
+    }
+
+    #[test]
+    fn forged_graph_fields_are_rejected() {
+        let (idx, layout, _) = churned(60);
+        assert!(
+            idx.hnsw().layer_count() > 1,
+            "the cases need an upper layer"
+        );
+        let clean = save(&idx, &layout, &meta());
+        // The graph follows the raw words and the backend tag; its
+        // params, entry point and layer count open it.
+        let m = length_offset(&idx) + 4 + idx.len() * idx.data().dim() * 4 + 1;
+        let layers = m + 4 + 4 + 4 + 8 + 1 + 4;
+        // M = 1 makes the level multiplier 1 / ln 1 = inf, so the next
+        // insert would allocate layers without bound.
+        assert_malformed(&patched(&clean, m, 1), "M = 1");
+        assert_malformed(&patched(&clean, layers, 1), "levels beyond the layer count");
+    }
+
+    #[test]
+    fn forged_layouts_are_rejected_before_their_constructors_assert() {
+        let (idx, _, _) = churned(60);
+        let dtype = idx.data().dtype();
+        assert_eq!(dtype.bits(), 8, "cases below assume 8-bit elements");
+        let dim = idx.data().dim();
+        let zeros = vec![0u32; dim];
+        let write = |sched, prefix| {
+            forge(
+                idx.data(),
+                idx.hnsw(),
+                idx.insert_count(),
+                idx.insert_count(),
+                |w| forged_layout(w, dtype, sched, prefix),
+            )
+        };
+        assert!(load(&write((2, &[6]), (2, &zeros))).is_ok());
+        let cases: [(&str, Field, Field); 5] = [
+            ("a 40-bit schedule step", (0, &[40]), (0, &zeros)),
+            ("an 8-bit prefix of an 8-bit element", (8, &[]), (8, &zeros)),
+            (
+                "a prefix value wider than its length",
+                (2, &[6]),
+                (2, &vec![4; dim]),
+            ),
+            (
+                "schedule and prefix lengths that disagree",
+                (0, &[8]),
+                (2, &zeros),
+            ),
+            (
+                "one prefix short of the dimension",
+                (2, &[6]),
+                (2, &zeros[1..]),
+            ),
+        ];
+        for (why, sched, prefix) in cases {
+            assert_malformed(&write(sched, prefix), why);
+        }
+    }
+
+    #[test]
+    fn non_hnsw_backend_tag_is_rejected() {
+        let (idx, layout, _) = churned(60);
+        let clean = save(&idx, &layout, &meta());
+        let tag = length_offset(&idx) + 4 + idx.len() * idx.data().dim() * 4;
+        assert_eq!(clean[tag], HNSW_BACKEND);
+        // Patch the tag byte alone; the rest of its word is the graph's M.
+        let word = u32::from_le_bytes(clean[tag..tag + 4].try_into().expect("4 bytes"));
+        // Tag 1 was the removed IVF backend.
+        for bad in [1, 2, 255] {
+            assert_malformed(&patched(&clean, tag, word & !0xff | bad), "backend tag");
+        }
+    }
+
+    #[test]
+    fn ivf_drift_lists_are_rejected() {
+        let (idx, layout, _) = churned(60);
+        let clean = save(&idx, &layout, &meta());
+        // The drift-list count sits just before the layout and epoch
+        // sections, after the levels-drawn and insert counts.
+        let mut w = Writer::new();
+        write_layout(&mut w, &layout);
+        let drift = clean.len() - CHECKSUM_LEN - 16 - (w.buf.len() - HEADER_LEN) - 4;
+        let u64_at = |off: usize| u64::from_le_bytes(clean[off..off + 8].try_into().expect("8"));
+        assert_eq!(idx.insert_count(), 5);
+        assert_eq!((u64_at(drift - 24), u64_at(drift - 16)), (5, 5));
+        assert_eq!(clean[drift..drift + 4], [0; 4]);
+        assert_malformed(&patched(&clean, drift, 1), "an IVF drift list");
+    }
+
+    #[test]
+    fn raw_words_must_be_elements_of_the_dtype() {
+        let (idx, layout, _) = churned(60);
+        assert_eq!(idx.data().dtype(), ElemType::U8);
+        let clean = save(&idx, &layout, &meta());
+        let first_word = length_offset(&idx) + 4;
+        assert_malformed(&patched(&clean, first_word, 0x100), "a 9-bit u8 word");
+
+        let values = (0..80).map(|i| i as f32).collect();
+        let data = Dataset::from_values("f", ElemType::F32, Metric::L2, 4, values);
+        let idx = MutableIndex::build_hnsw(data, HnswParams::quick(), 1);
+        let layout = LayoutArtifacts::plan(&idx, 0.01);
+        let clean = save(&idx, &layout, &meta());
+        assert!(load(&clean).is_ok());
+        let first_word = length_offset(&idx) + 4;
+        for bits in [f32::NAN, f32::INFINITY].map(f32::to_bits) {
+            assert_malformed(&patched(&clean, first_word, bits), "a non-finite f32");
+        }
+    }
+
+    #[test]
+    fn forged_replicas_and_outlier_budgets_are_rejected() {
+        let (idx, layout, _) = churned(60);
+        let n = idx.len();
+        let write = |replicas: Vec<usize>, budget: f64| {
+            let mut forged = layout.clone();
+            forged.replicas = ReplicaSet::new(replicas);
+            forged.outlier_budget_frac = budget;
+            let inserts = idx.insert_count();
+            forge(idx.data(), idx.hnsw(), inserts, inserts, |w| {
+                write_layout(w, &forged)
+            })
+        };
+        assert!(load(&write(vec![0, n - 1], 1.0)).is_ok());
+        assert_malformed(&write(vec![n], 0.01), "a replica beyond the dataset");
+        for budget in [-0.01, 1.5, f64::NAN] {
+            assert_malformed(&write(vec![], budget), "an outlier budget outside [0, 1]");
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let (idx, layout, _) = churned(60);
+        let inserts = idx.insert_count();
+        let bytes = forge(idx.data(), idx.hnsw(), inserts, inserts, |w| {
+            write_layout(w, &layout);
+            w.u32(0);
+        });
+        assert_malformed(&bytes, "a word after the last section");
+    }
+
+    #[test]
+    fn level_replay_is_bounded_by_the_insert_count() {
+        let (idx, layout, _) = churned(60);
+        let write = |drawn, inserts| {
+            forge(idx.data(), idx.hnsw(), drawn, inserts, |w| {
+                write_layout(w, &layout)
+            })
+        };
+        // 2^40 one-at-a-time RNG draws would stall the loader for
+        // about half an hour.
+        assert_malformed(&write(1 << 40, 5), "levels drawn != inserts");
+        assert_malformed(&write(1 << 40, 1 << 40), "more inserts than vectors");
+        assert!(load(&write(5, 5)).is_ok());
     }
 
     #[test]

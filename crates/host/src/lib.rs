@@ -1,28 +1,18 @@
 //! Host CPU timing model for the ANSMET reproduction (Table 1): a
-//! 16-core, 3.2 GHz out-of-order host with a three-level cache hierarchy
-//! (64 kB L1, 1 MB L2, 8 MB LLC) and an analytical per-operation cost
-//! model for the search phases the CPU executes — index traversal, heap
-//! maintenance, SIMD distance computation, NDP task offloading, and
-//! result collection.
+//! 16-core, 3.2 GHz out-of-order host with an analytical per-operation
+//! cost model for the search phases the CPU executes — index traversal,
+//! heap maintenance, SIMD distance computation, NDP task offloading, and
+//! result collection — plus the per-rank-group health tracking and
+//! recovery costs of the fault-tolerant offload path.
 //!
-//! # Example
-//!
-//! ```
-//! use ansmet_host::{CacheHierarchy, CacheConfig, AccessResult};
-//!
-//! let mut caches = CacheHierarchy::new(CacheConfig::table1());
-//! let first = caches.access(0x4000);
-//! assert_eq!(first, AccessResult::Miss);
-//! let second = caches.access(0x4000);
-//! assert_eq!(second, AccessResult::Hit { level: 1 });
-//! ```
+//! No cache is simulated. The CPU replay in `ansmet-sim` charges every
+//! vector fetch a fixed 60-CPU-cycle LLC lookup before DRAM, as if the
+//! 8 MB LLC always missed.
 
-pub mod cache;
 pub mod cpu;
 pub mod health;
 pub mod recovery;
 
-pub use cache::{AccessResult, Cache, CacheConfig, CacheHierarchy};
 pub use cpu::{CpuModel, HostCosts};
 pub use health::{BreakerConfig, BreakerState, BreakerTransition, HealthTracker, EWMA_SCALE};
 pub use recovery::{RetryPolicy, CYCLES_PER_LINE, TASK_OVERHEAD_CYCLES, TIMEOUT_PENALTY_CYCLES};

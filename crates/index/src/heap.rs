@@ -133,11 +133,6 @@ impl MaxDistHeap {
         }
     }
 
-    /// The worst kept entry, if any.
-    pub fn peek_worst(&self) -> Option<Neighbor> {
-        self.heap.peek().copied()
-    }
-
     /// Number of kept entries.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -481,12 +481,6 @@ impl Hnsw {
         &self.params
     }
 
-    /// Mean base-layer degree (diagnostic).
-    pub fn mean_base_degree(&self) -> f64 {
-        let total: usize = self.links[0].iter().map(Vec::len).sum();
-        total as f64 / self.levels.len() as f64
-    }
-
     /// Highest layer of `node`.
     pub fn level(&self, node: usize) -> usize {
         self.levels[node]

@@ -4,7 +4,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ansmet_vecdata::{Dataset, Metric};
+use ansmet_vecdata::Dataset;
 
 use crate::heap::Neighbor;
 use crate::oracle::{DistanceOracle, DistanceOutcome};
@@ -36,7 +36,6 @@ impl Default for IvfParams {
 pub struct Ivf {
     centroids: Vec<Vec<f32>>,
     lists: Vec<Vec<usize>>,
-    metric: Metric,
 }
 
 impl Ivf {
@@ -128,11 +127,7 @@ impl Ivf {
             lists[best].push(i);
         }
 
-        Ivf {
-            centroids,
-            lists,
-            metric: data.metric(),
-        }
+        Ivf { centroids, lists }
     }
 
     /// Number of inverted lists.
@@ -140,126 +135,9 @@ impl Ivf {
         self.lists.len()
     }
 
-    /// The metric used when scanning lists.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    /// Centroid vectors — the paper's IVF "hot vectors" for replication.
-    pub fn centroids(&self) -> &[Vec<f32>] {
-        &self.centroids
-    }
-
     /// Members of list `c`.
     pub fn list(&self, c: usize) -> &[usize] {
         &self.lists[c]
-    }
-
-    /// Append the vector `id` (already present in `data`) to its nearest
-    /// list. Centroids are *not* moved — streaming appends accumulate
-    /// drift that [`Ivf::rebalance`] later repairs. Returns the chosen
-    /// list and the L2² distance to its centroid (the caller's
-    /// centroid-drift signal).
-    pub fn append(&mut self, data: &Dataset, id: usize) -> (usize, f32) {
-        let v = data.vector(id);
-        let mut best = 0;
-        let mut best_d = f32::INFINITY;
-        for (c, centroid) in self.centroids.iter().enumerate() {
-            let d = ansmet_vecdata::metric::l2_squared(v, centroid);
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        self.lists[best].push(id);
-        (best, best_d)
-    }
-
-    /// Drop every id with `dead[id] == true` from all lists (tombstone
-    /// purge). Relative order of survivors is preserved, so scan order —
-    /// and therefore results and traces — stays deterministic.
-    pub fn purge(&mut self, dead: &[bool]) {
-        for list in &mut self.lists {
-            list.retain(|&id| !dead[id]);
-        }
-    }
-
-    /// One Lloyd step over the current membership: recompute each
-    /// non-empty list's centroid as its member mean, then reassign every
-    /// member to its now-nearest centroid. Returns how many ids moved
-    /// lists (0 ⇒ the clustering is stable again).
-    pub fn rebalance(&mut self, data: &Dataset) -> usize {
-        let k = self.lists.len();
-        let dim = data.dim();
-        for (centroid, list) in self.centroids.iter_mut().zip(&self.lists) {
-            if list.is_empty() {
-                continue; // keep the stale centroid; it may re-attract later
-            }
-            let mut sums = vec![0.0f64; dim];
-            for &id in list {
-                for (s, v) in sums.iter_mut().zip(data.vector(id)) {
-                    *s += *v as f64;
-                }
-            }
-            for (cd, s) in centroid.iter_mut().zip(&sums) {
-                *cd = (*s / list.len() as f64) as f32;
-            }
-        }
-        let mut moved = 0;
-        let mut new_lists = vec![Vec::new(); k];
-        for (old_c, list) in self.lists.iter().enumerate() {
-            for &id in list {
-                let v = data.vector(id);
-                let mut best = 0;
-                let mut best_d = f32::INFINITY;
-                for (c, centroid) in self.centroids.iter().enumerate() {
-                    let d = ansmet_vecdata::metric::l2_squared(v, centroid);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                if best != old_c {
-                    moved += 1;
-                }
-                new_lists[best].push(id);
-            }
-        }
-        // Reassignment iterates lists in order, so each new list collects
-        // ids in (old list, position) order — deterministic but not
-        // necessarily ascending; sort to make scan order canonical.
-        for list in &mut new_lists {
-            list.sort_unstable();
-        }
-        self.lists = new_lists;
-        moved
-    }
-
-    /// Reassemble an index from snapshot parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parts are structurally inconsistent.
-    pub fn from_parts(centroids: Vec<Vec<f32>>, lists: Vec<Vec<usize>>, metric: Metric) -> Self {
-        assert!(
-            !centroids.is_empty(),
-            "snapshot holds an IVF with no centroids"
-        );
-        assert_eq!(
-            centroids.len(),
-            lists.len(),
-            "snapshot centroid/list counts disagree"
-        );
-        let dim = centroids[0].len();
-        assert!(
-            centroids.iter().all(|c| c.len() == dim),
-            "snapshot centroids have mixed dimensionality"
-        );
-        Ivf {
-            centroids,
-            lists,
-            metric,
-        }
     }
 
     /// Search the `nprobe` closest lists for the `k` nearest neighbors.
@@ -272,19 +150,6 @@ impl Ivf {
     ) -> crate::hnsw::SearchResult {
         let mut scratch = crate::scratch::SearchScratch::new(0);
         self.search_inner(query, k, nprobe, oracle, None, &mut scratch)
-    }
-
-    /// [`Ivf::search`] reusing caller-provided scratch buffers
-    /// (bit-identical results, no per-query allocation).
-    pub fn search_with<O: DistanceOracle>(
-        &self,
-        query: &[f32],
-        k: usize,
-        nprobe: usize,
-        oracle: &mut O,
-        scratch: &mut crate::scratch::SearchScratch,
-    ) -> crate::hnsw::SearchResult {
-        self.search_inner(query, k, nprobe, oracle, None, scratch)
     }
 
     /// Search while recording the comparison trace.
@@ -447,101 +312,6 @@ mod tests {
             .map(|h| h.evals.len())
             .sum();
         assert_eq!(scanned as u64, o.comparisons());
-    }
-
-    fn prefix_of(full: &ansmet_vecdata::Dataset, n: usize) -> ansmet_vecdata::Dataset {
-        let values: Vec<f32> = (0..n).flat_map(|i| full.vector(i).to_vec()).collect();
-        ansmet_vecdata::Dataset::from_values(
-            full.name().to_string(),
-            full.dtype(),
-            full.metric(),
-            full.dim(),
-            values,
-        )
-    }
-
-    #[test]
-    fn append_assigns_nearest_list_and_stays_searchable() {
-        let (full, _) = SynthSpec::sift().scaled(300, 1).generate();
-        let mut data = prefix_of(&full, 250);
-        let mut ivf = Ivf::build(&data, IvfParams::default());
-        for i in 250..300 {
-            let id = data.push_vector(full.vector(i));
-            let (list, drift) = ivf.append(&data, id);
-            assert!(ivf.list(list).contains(&id));
-            assert!(drift.is_finite());
-        }
-        let total: usize = (0..ivf.n_lists()).map(|c| ivf.list(c).len()).sum();
-        assert_eq!(total, 300);
-        // Full probe still finds each appended vector exactly.
-        let mut o = ExactOracle::new(&data);
-        for i in [250, 299] {
-            let r = ivf.search(data.vector(i), 1, ivf.n_lists(), &mut o);
-            assert_eq!(r.ids()[0], i);
-        }
-    }
-
-    #[test]
-    fn purge_drops_dead_ids_only() {
-        let (data, _) = SynthSpec::sift().scaled(200, 1).generate();
-        let mut ivf = Ivf::build(&data, IvfParams::default());
-        let mut dead = vec![false; 200];
-        dead[17] = true;
-        dead[90] = true;
-        ivf.purge(&dead);
-        let total: usize = (0..ivf.n_lists()).map(|c| ivf.list(c).len()).sum();
-        assert_eq!(total, 198);
-        for c in 0..ivf.n_lists() {
-            assert!(!ivf.list(c).contains(&17));
-            assert!(!ivf.list(c).contains(&90));
-        }
-    }
-
-    #[test]
-    fn rebalance_reaches_a_fixed_point() {
-        let (full, _) = SynthSpec::deep().scaled(300, 1).generate();
-        let mut data = prefix_of(&full, 200);
-        let mut ivf = Ivf::build(&data, IvfParams::default());
-        for i in 200..300 {
-            let id = data.push_vector(full.vector(i));
-            ivf.append(&data, id);
-        }
-        // Iterated Lloyd steps must make progress and then stabilize.
-        let mut last = usize::MAX;
-        for _ in 0..50 {
-            last = ivf.rebalance(&data);
-            if last == 0 {
-                break;
-            }
-        }
-        assert_eq!(last, 0, "rebalance failed to converge");
-        let total: usize = (0..ivf.n_lists()).map(|c| ivf.list(c).len()).sum();
-        assert_eq!(total, 300);
-        // Membership is still a partition.
-        let mut seen = vec![false; 300];
-        for c in 0..ivf.n_lists() {
-            for &id in ivf.list(c) {
-                assert!(!seen[id]);
-                seen[id] = true;
-            }
-        }
-    }
-
-    #[test]
-    fn ivf_from_parts_round_trips_search() {
-        let (data, queries) = SynthSpec::sift().scaled(250, 2).generate();
-        let a = Ivf::build(&data, IvfParams::default());
-        let b = Ivf::from_parts(
-            a.centroids().to_vec(),
-            (0..a.n_lists()).map(|c| a.list(c).to_vec()).collect(),
-            a.metric(),
-        );
-        let mut oa = ExactOracle::new(&data);
-        let mut ob = ExactOracle::new(&data);
-        assert_eq!(
-            a.search(&queries[1], 5, 4, &mut oa).neighbors(),
-            b.search(&queries[1], 5, 4, &mut ob).neighbors()
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::heap::{MaxDistHeap, MinDistHeap, Neighbor};
 use crate::visited::VisitedSet;
 
 /// Reusable buffers for [`Hnsw::search_with`](crate::Hnsw::search_with)
-/// and [`Ivf::search_with`](crate::Ivf::search_with).
+/// and [`Ivf::search_traced_with`](crate::Ivf::search_traced_with).
 ///
 /// A scratch is tied to no particular index: capacities grow on demand,
 /// so one scratch may serve searches over different datasets. Results are
@@ -93,11 +93,6 @@ impl SearchScratch {
     /// growth is in-place and does not count).
     pub fn reallocations(&self) -> u64 {
         self.reallocations
-    }
-
-    /// Visited-set capacity in ids (diagnostic).
-    pub fn visited_capacity(&self) -> usize {
-        self.visited.capacity()
     }
 }
 

@@ -161,14 +161,7 @@ pub fn serve_experiment(scale: Scale) -> (String, String) {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"experiment\": \"serve\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    );
+    let _ = writeln!(json, "  \"scale\": \"{}\",", scale.as_str());
     let _ = writeln!(json, "  \"dataset\": \"{}\",", wl.name);
     let _ = writeln!(json, "  \"estimated_capacity_qps\": {capacity:.3},");
     let _ = writeln!(json, "  \"slo_cycles\": {slo_cycles},");
@@ -325,14 +318,7 @@ pub fn resilience_experiment(scale: Scale) -> (String, String) {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"experiment\": \"resilience\",");
-    let _ = writeln!(
-        json,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    );
+    let _ = writeln!(json, "  \"scale\": \"{}\",", scale.as_str());
     let _ = writeln!(json, "  \"dataset\": \"{}\",", wl.name);
     let _ = writeln!(json, "  \"estimated_capacity_qps\": {capacity:.3},");
     let _ = writeln!(json, "  \"slo_cycles\": {slo_cycles},");

@@ -482,6 +482,7 @@ impl FleetState {
                         group = alt;
                     }
                     None => {
+                        self.fast_fallbacks += 1;
                         self.host_fallback(group, at, &mut penalty, sink);
                         return penalty;
                     }
@@ -650,6 +651,7 @@ mod tests {
     use super::*;
     use ansmet_faults::{FaultEvent, FaultPlan};
     use ansmet_ndp::PartitionScheme;
+    use ansmet_obs::NoopSink;
 
     /// Sink keeping the cycles of CRC-rejection events.
     #[derive(Default)]
@@ -695,6 +697,48 @@ mod tests {
         assert_eq!(log.0, vec![dispatch + STALL]);
         let rec = fleet.recovery_report();
         assert_eq!((rec.crc_rejections, rec.retries), (1, 1));
+    }
+
+    #[test]
+    fn open_breaker_with_no_replica_is_a_fast_fallback() {
+        // One rank group, hung for the whole run: the first comparison
+        // times out until the breaker opens, and with no replica to
+        // reroute to, every later one goes straight to host compute.
+        let partitioner = Partitioner::new(PartitionScheme::Vertical, 4, 128, 4);
+        assert_eq!(partitioner.rank_groups(), 1);
+        let storm = StormPlan::single_group_outage(0, 0, u64::MAX);
+        let resilience = Some(ResilienceConfig::default());
+        let mut fleet = FleetState::new(&partitioner, 8, None, storm, resilience);
+        for _ in 0..10 {
+            fleet.eval_penalty(0, 1_000, &mut NoopSink);
+        }
+        let rec = fleet.recovery_report();
+        assert_eq!((rec.breaker_fast_paths, rec.host_fallbacks), (9, 10));
+        let report = fleet.resilience_report(None);
+        assert_eq!((report.fast_reroutes, report.fast_fallbacks), (0, 9));
+    }
+
+    #[test]
+    fn open_breaker_with_a_healthy_replica_is_a_fast_reroute() {
+        // Four rank groups, group 0 hung for the whole run: once its
+        // breaker opens, comparisons homed there skip straight to a
+        // replica group and never fall back to host compute.
+        let partitioner = Partitioner::new(PartitionScheme::Horizontal, 4, 128, 4);
+        assert_eq!(partitioner.rank_groups(), 4);
+        let storm = StormPlan::single_group_outage(0, 0, u64::MAX);
+        let resilience = Some(ResilienceConfig::without_hedging());
+        let mut fleet = FleetState::new(&partitioner, 8, None, storm, resilience);
+        for _ in 0..10 {
+            fleet.eval_penalty(0, 1_000, &mut NoopSink);
+        }
+        let rec = fleet.recovery_report();
+        assert_eq!(rec.host_fallbacks, 0);
+        assert!(rec.breaker_fast_paths > 0, "the breaker never opened");
+        let report = fleet.resilience_report(None);
+        assert_eq!(
+            (report.fast_reroutes, report.fast_fallbacks),
+            (rec.breaker_fast_paths, 0)
+        );
     }
 
     #[test]

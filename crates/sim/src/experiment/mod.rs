@@ -17,7 +17,7 @@ pub use ablation::ablation;
 pub use faults::faults;
 pub use figures::{fig1, fig10, fig11, fig12, fig3, fig6, fig7, fig8, fig9, loadbal};
 pub use tables::{table2, table3, table4, table5};
-pub use trace::{trace, trace_bundle, TraceBundle, TRACED_QUERIES};
+pub use trace::{trace_bundle, TraceBundle, TRACED_QUERIES};
 
 use ansmet_vecdata::SynthSpec;
 
@@ -31,6 +31,14 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale's name as artifacts record it: `"quick"` or `"full"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
+
     /// Scale a dataset spec to this experiment size.
     pub fn spec(self, base: SynthSpec) -> SynthSpec {
         match self {

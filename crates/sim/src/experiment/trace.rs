@@ -87,14 +87,7 @@ fn metrics_envelope(
 ) -> String {
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"experiment\": \"trace\",");
-    let _ = writeln!(
-        s,
-        "  \"scale\": \"{}\",",
-        match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    );
+    let _ = writeln!(s, "  \"scale\": \"{}\",", scale.as_str());
     let _ = writeln!(s, "  \"design\": \"{design:?}\",");
     let _ = writeln!(s, "  \"queries\": {queries},");
     let body = metrics.to_json();
@@ -105,11 +98,6 @@ fn metrics_envelope(
     }
     s.push_str("}\n");
     s
-}
-
-/// Text-only entry point used by the generic experiment dispatcher.
-pub fn trace(scale: Scale) -> String {
-    trace_bundle(scale).report
 }
 
 #[cfg(test)]

@@ -1322,9 +1322,10 @@ fn run_query_sink<S: TraceSink>(
             // within one comparison the vector lines stream with
             // memory-level parallelism. Two additional effects make
             // the host memory-bound as in the paper's measurements:
-            // every vector fetch traverses the cache hierarchy (an
-            // LLC miss costs its lookup latency before DRAM), and the
-            // four channels are shared by all sixteen active cores,
+            // every vector fetch pays a fixed 60-CPU-cycle LLC lookup
+            // before DRAM (no cache is simulated, so every fetch is
+            // charged as a miss), and the four channels are shared by
+            // all sixteen active cores,
             // so per-core streaming bandwidth is capped at
             // channels/cores of the peak.
             let hop_start = clock;

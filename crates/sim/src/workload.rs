@@ -116,6 +116,35 @@ impl Workload {
         kind: IndexKind,
     ) -> Workload {
         let (data, queries) = spec.generate();
+        Self::build(data, queries, k, ef, kind)
+    }
+
+    /// Assemble a workload from an existing dataset and query list (no
+    /// synthetic generation): build the HNSW index, compute ground
+    /// truth, profile, and run the functional traced searches at the
+    /// given beam width.
+    ///
+    /// This is the entry point for *derived* workloads whose data is a
+    /// slice of a larger dataset — the sharded cluster plane
+    /// (`ansmet-cluster`) gives every shard its own index, traces, and
+    /// sampling profile over its partition through here. The beam width
+    /// is taken as given (no recall-driven tuning loop), so a caller
+    /// that reuses a tuned monolithic `ef` gets bit-identical traces
+    /// for the single-shard case.
+    pub fn from_parts(data: Dataset, queries: Vec<Vec<f32>>, k: usize, ef: usize) -> Workload {
+        Self::build(data, queries, k, Some(ef), IndexKind::Hnsw)
+    }
+
+    /// Index `data`, then compute ground truth, the sampling profile and
+    /// the traces. With `ef: None` the beam width doubles from
+    /// `max(k, 10)` until recall@k reaches 80 %.
+    fn build(
+        data: Dataset,
+        queries: Vec<Vec<f32>>,
+        k: usize,
+        ef: Option<usize>,
+        kind: IndexKind,
+    ) -> Workload {
         let t0 = std::time::Instant::now();
         let (hnsw, ivf) = match kind {
             IndexKind::Hnsw => {
@@ -161,56 +190,6 @@ impl Workload {
             }
             wl.ef *= 2;
         }
-        wl
-    }
-
-    /// Assemble a workload from an existing dataset and query list (no
-    /// synthetic generation): build the HNSW index, compute ground
-    /// truth, profile, and run the functional traced searches at the
-    /// given beam width.
-    ///
-    /// This is the entry point for *derived* workloads whose data is a
-    /// slice of a larger dataset — the sharded cluster plane
-    /// (`ansmet-cluster`) gives every shard its own index, traces, and
-    /// sampling profile over its partition through here. The beam width
-    /// is taken as given (no recall-driven tuning loop), so a caller
-    /// that reuses a tuned monolithic `ef` gets bit-identical traces
-    /// for the single-shard case.
-    pub fn from_parts(data: Dataset, queries: Vec<Vec<f32>>, k: usize, ef: usize) -> Workload {
-        let t0 = std::time::Instant::now();
-        let params = if data.len() <= 5_000 {
-            HnswParams {
-                ef_construction: 120,
-                ..HnswParams::default()
-            }
-        } else {
-            HnswParams::default()
-        };
-        let hnsw = Hnsw::build(&data, params);
-        let graph_build_secs = t0.elapsed().as_secs_f64();
-
-        let ground_truth = GroundTruth::compute(&data, &queries, k);
-        let n_samples = 100.min(data.len() / 2).max(2);
-        let profile =
-            SamplingProfile::build(&data, &SamplingConfig::default().with_samples(n_samples));
-
-        let mut wl = Workload {
-            name: data.name().to_string(),
-            data,
-            queries,
-            hnsw: Some(hnsw),
-            ivf: None,
-            k,
-            ef,
-            traces: Vec::new(),
-            results: Vec::new(),
-            ground_truth,
-            recall: 0.0,
-            profile,
-            outlier_frac: 0.001,
-            graph_build_secs,
-        };
-        wl.retrace(ef);
         wl
     }
 

@@ -68,11 +68,6 @@ impl Metric {
             }
         }
     }
-
-    /// An upper bound usable as the "no threshold yet" sentinel.
-    pub fn infinity(self) -> f32 {
-        f32::INFINITY
-    }
 }
 
 impl std::fmt::Display for Metric {

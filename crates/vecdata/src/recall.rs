@@ -66,6 +66,12 @@ mod tests {
     }
 
     #[test]
+    fn short_result_counts_missing_slots_as_misses() {
+        // A search that returns fewer than k ids is scored over k.
+        assert_eq!(recall_at_k(&[1], &[1, 2, 3, 4], 4), 0.25);
+    }
+
+    #[test]
     fn mean_over_batch() {
         let r = vec![vec![1, 2], vec![3, 9]];
         let t = vec![vec![1, 2], vec![3, 4]];

@@ -242,11 +242,6 @@ impl SynthSpec {
         }
         (data, queries)
     }
-
-    /// Generate only the database (convenience for benchmarks).
-    pub fn generate_dataset(&self) -> Dataset {
-        self.generate().0
-    }
 }
 
 /// Standard normal sample via Box–Muller.

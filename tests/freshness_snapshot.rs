@@ -1,25 +1,29 @@
 //! Snapshot round-trip tests against a committed on-disk fixture:
 //! clean save/load is byte-stable, every single-bit flip and every
-//! truncation of the fixture surfaces as a typed error, torn writes are
-//! detected and recovered through the fallback path, and the committed v1
-//! fixture still loads (format drift guard).
+//! truncation of the fixture surfaces as a typed error, forged fields
+//! with a recomputed checksum are a typed error or a servable index,
+//! torn writes are detected and recovered through the fallback path, and
+//! the committed v1 fixture still loads (format drift guard).
 //!
 //! Regenerate the fixture with
 //! `cargo test -p ansmet --test freshness_snapshot -- --ignored`.
 
 use std::path::PathBuf;
 
+use ansmet::core::EtEngine;
 use ansmet::freshness::{
-    load, load_with_fallback, save, EpochMeta, LayoutArtifacts, MutableIndex, SnapshotError,
+    load, load_with_fallback, save, EpochMeta, FreshEtOracle, LayoutArtifacts, MutableIndex,
+    SnapshotError,
 };
-use ansmet::index::HnswParams;
+use ansmet::index::{HnswParams, SearchScratch};
+use ansmet::obs::fingerprint64;
 use ansmet::vecdata::{Dataset, ElemType, Metric};
 use ansmet_faults::snapshot::{flip_byte, torn_tail};
 
 const FIXTURE: &str = "tests/fixtures/freshness_v1.snap";
 
 /// The exact state the committed fixture was built from: a tiny dim-8
-/// F16/L2 dataset (LCG values), 40 base vectors, 6 streamed inserts,
+/// F16/L2 dataset (LCG values), 40 base vectors, 8 streamed inserts,
 /// 3 deletes, one compaction.
 fn fixture_state() -> (MutableIndex, LayoutArtifacts, EpochMeta) {
     let dim = 8;
@@ -112,6 +116,52 @@ fn every_flipped_byte_is_a_typed_error() {
         let torn = torn_tail(&fixture, kept);
         assert_typed(load(&torn).expect_err("a truncated snapshot must not load"));
     }
+}
+
+/// Values written as a little-endian `u32` over every position of the
+/// fixture: zero, small counts, and one wider than a byte.
+const FORGED: [u32; 5] = [0, 1, 2, 7, 300];
+
+#[test]
+fn every_forged_field_is_a_typed_error_or_a_servable_index() {
+    let fixture = std::fs::read(fixture_path()).expect("committed fixture present");
+    // The checksum is recomputed after each write, so only the decoder's
+    // validation stands between a forged field and the index.
+    let body_end = fixture.len() - 8;
+    let (mut served, mut rejected) = (0usize, 0usize);
+    for off in 0..=body_end - 4 {
+        for value in FORGED {
+            let mut forged = fixture.clone();
+            forged[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            let sum = fingerprint64(&forged[..body_end]);
+            forged[body_end..].copy_from_slice(&sum.to_le_bytes());
+            // Every error is typed; a load must serve both oracles alike.
+            let Ok(snap) = load(&forged) else {
+                rejected += 1;
+                continue;
+            };
+            served += 1;
+            let index = &snap.index;
+            let q: Vec<f32> = (0..index.data().dim())
+                .map(|i| i as f32 * 0.25 - 1.0)
+                .collect();
+            let exact = index.search_exact(&q, 5, 32);
+            let engine = EtEngine::new(index.data(), snap.layout.et_config());
+            let mut oracle = FreshEtOracle::new(&engine, index.conservative_flags());
+            let mut scratch = SearchScratch::new(index.len());
+            let et = index.search_with(&q, 5, 32, &mut oracle, &mut scratch);
+            assert_eq!(
+                et.ids(),
+                exact.ids(),
+                "{value} at byte {off}: ET and exact searches disagree"
+            );
+        }
+    }
+    // Both outcomes occur, so neither path is vacuous.
+    assert!(
+        served > 0 && rejected > 0,
+        "{served} served, {rejected} rejected"
+    );
 }
 
 #[test]
