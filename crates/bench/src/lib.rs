@@ -135,10 +135,13 @@ pub fn run_experiment(name: &str, scale: Scale) -> Option<(String, Vec<Artifact>
     })
 }
 
-/// The git revision of the working tree (`git describe --always
-/// --dirty`), or `"unknown"` outside a repository.
+/// The git revision of the checkout this binary was built from (`git
+/// describe --always --dirty` run on the crate's source directory, not on
+/// the working directory), or `"unknown"` when that checkout or git is
+/// missing.
 pub fn git_revision() -> String {
     std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR")])
         .args(["describe", "--always", "--dirty"])
         .output()
         .ok()

@@ -1,14 +1,20 @@
 //! The top-level memory system: channels, queues, tick loop, statistics.
+//!
+//! Each channel caches, per request queue, the earliest cycle anything in
+//! that queue can issue, and per rank the next refresh event. The caches
+//! depend only on bank, rank and bus state and on queue contents, never on
+//! the clock, so [`MemorySystem::tick`] runs FR-FCFS only on queues that
+//! can act and [`MemorySystem::next_event_cycle`] reads a few cached
+//! values instead of re-deriving every queued request's issue window.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::addrmap::AddrMap;
 use crate::command::CommandKind;
-use crate::config::DramConfig;
+use crate::config::{DramConfig, Timing};
 use crate::rank::Rank;
 use crate::request::{AccessKind, Port, Request, Response};
-use crate::scheduler;
+use crate::scheduler::{self, Decision};
 
 /// Aggregate statistics exported by the memory system.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -37,33 +43,46 @@ pub struct MemoryStats {
     pub ndp_bus_busy_cycles: u64,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PendingDone {
-    finish: u64,
-    response: Response,
-}
+/// Index of the host queue in `Channel::queues`; rank `r`'s NDP queue is
+/// at `r + 1`.
+const HOST: usize = 0;
 
-impl Ord for PendingDone {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.finish
-            .cmp(&other.finish)
-            .then(self.response.id.cmp(&other.response.id))
+/// Cycles from a CAS to the start of its data burst.
+fn cas_lead(read: bool, t: &Timing) -> u64 {
+    if read {
+        t.cl
+    } else {
+        t.cwl
     }
 }
 
-impl PartialOrd for PendingDone {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// One request queue and its cached ready cycle.
+#[derive(Debug, Clone)]
+struct Queue {
+    requests: Vec<Request>,
+    /// Row-buffer outcome of each request's first issued command.
+    outcome: Vec<Option<bool>>,
+    /// Minimum over `requests` of `Channel::earliest_issue`, or `u64::MAX`
+    /// when none can issue. Exact between ticks.
+    ready: u64,
 }
 
 #[derive(Debug, Clone)]
 struct Channel {
     ranks: Vec<Rank>,
-    host_queue: Vec<Request>,
-    host_outcome: Vec<Option<bool>>,
-    ndp_queues: Vec<Vec<Request>>,
-    ndp_outcome: Vec<Vec<Option<bool>>>,
+    /// `queues[HOST]` is the host queue, `queues[r + 1]` rank `r`'s NDP
+    /// queue.
+    queues: Vec<Queue>,
+    /// Per rank: [`Rank::next_refresh_event`], or `u64::MAX` with refresh
+    /// off. Exact between ticks.
+    refresh_at: Vec<u64>,
+    /// Ranks a command touched during the current tick. A touched rank's
+    /// NDP queue and `refresh_at` are stale, and so is the host queue,
+    /// until the end of the channel's turn.
+    touched: Vec<bool>,
+    /// Minimum of every queue's `ready` and every `refresh_at`: the
+    /// channel cannot act before this cycle.
+    next_due: u64,
     host_bus_free: u64,
     host_bus_last_rank: Option<usize>,
 }
@@ -71,19 +90,117 @@ struct Channel {
 impl Channel {
     fn new(config: &DramConfig) -> Self {
         let nranks = config.ranks_per_channel;
+        let ranks: Vec<Rank> = (0..nranks).map(|_| Rank::new(config)).collect();
+        let refresh_at = ranks
+            .iter()
+            .map(|r| refresh_event(r, config.refresh_enabled))
+            .collect::<Vec<_>>();
+        let queue = Queue {
+            requests: Vec::new(),
+            outcome: Vec::new(),
+            ready: u64::MAX,
+        };
         Channel {
-            ranks: (0..nranks).map(|_| Rank::new(config)).collect(),
-            host_queue: Vec::new(),
-            host_outcome: Vec::new(),
-            ndp_queues: vec![Vec::new(); nranks],
-            ndp_outcome: vec![Vec::new(); nranks],
+            next_due: refresh_at.iter().copied().min().unwrap_or(u64::MAX),
+            ranks,
+            queues: vec![queue; nranks + 1],
+            refresh_at,
+            touched: vec![false; nranks],
             host_bus_free: 0,
             host_bus_last_rank: None,
         }
     }
 
-    fn is_idle(&self) -> bool {
-        self.host_queue.is_empty() && self.ndp_queues.iter().all(Vec::is_empty)
+    /// First cycle at which the data bus that queue `qi` uses for `rank`
+    /// can take a burst: the shared channel bus, plus the rank-switch
+    /// bubble, for the host queue; the rank-local bus for an NDP queue.
+    fn bus_free(&self, qi: usize, rank: usize, t: &Timing) -> u64 {
+        if qi != HOST {
+            return self.ranks[rank].local_bus_free;
+        }
+        match self.host_bus_last_rank {
+            Some(last) if last != rank => self.host_bus_free + t.rank_switch,
+            _ => self.host_bus_free,
+        }
+    }
+
+    /// FR-FCFS decision for queue `qi` at `now`.
+    fn pick(&self, qi: usize, now: u64, t: &Timing) -> Option<Decision> {
+        scheduler::pick(
+            &self.queues[qi].requests,
+            &self.ranks,
+            now,
+            t,
+            |rank, kind, at| {
+                at + cas_lead(kind == CommandKind::Read, t) >= self.bus_free(qi, rank, t)
+            },
+        )
+    }
+
+    /// Earliest cycle at which `req`, queued on `qi`, can issue its next
+    /// command given the current frozen state, or `None` while the
+    /// activate it needs is held back by a refresh drain (the refresh is a
+    /// tracked event of its own). Exact: [`scheduler::pick`] finds `req`
+    /// issuable at cycle `x` exactly when `x` is at or after this bound.
+    fn earliest_issue(&self, qi: usize, req: &Request, t: &Timing) -> Option<u64> {
+        let loc = &req.loc;
+        let rank = &self.ranks[loc.rank];
+        let is_read = req.kind == AccessKind::Read;
+        let kind = rank.needed_command(loc.bank_group, loc.bank, loc.row, is_read);
+        let e = rank.bank(loc.bank_group, loc.bank).earliest(kind);
+        Some(match kind {
+            CommandKind::Activate if rank.refresh_pending() => return None,
+            CommandKind::Activate => e.max(rank.earliest_act(loc.bank_group, t)),
+            CommandKind::Read | CommandKind::Write => {
+                // Data-bus backpressure: a CAS issued at cycle x starts its
+                // burst at x + CL/CWL, which must not precede bus release.
+                let bus = self
+                    .bus_free(qi, loc.rank, t)
+                    .saturating_sub(cas_lead(is_read, t));
+                e.max(rank.earliest_cas(loc.bank_group, kind, t)).max(bus)
+            }
+            CommandKind::Precharge | CommandKind::Refresh => e,
+        })
+    }
+
+    /// Queue `qi`'s ready cycle, scanned from scratch.
+    fn scan_ready(&self, qi: usize, t: &Timing) -> u64 {
+        self.queues[qi]
+            .requests
+            .iter()
+            .filter_map(|req| self.earliest_issue(qi, req, t))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Re-derive the caches a tick left stale, then `next_due`.
+    fn rescan_stale(&mut self, host_stale: bool, refresh_enabled: bool, t: &Timing) {
+        if host_stale {
+            self.queues[HOST].ready = self.scan_ready(HOST, t);
+        }
+        for r in 0..self.ranks.len() {
+            if std::mem::take(&mut self.touched[r]) {
+                self.queues[r + 1].ready = self.scan_ready(r + 1, t);
+                self.refresh_at[r] = refresh_event(&self.ranks[r], refresh_enabled);
+            }
+        }
+        self.next_due = self
+            .queues
+            .iter()
+            .map(|q| q.ready)
+            .chain(self.refresh_at.iter().copied())
+            .min()
+            .unwrap_or(u64::MAX);
+    }
+}
+
+/// `rank`'s next refresh-related state change, or `u64::MAX` with refresh
+/// off.
+fn refresh_event(rank: &Rank, refresh_enabled: bool) -> u64 {
+    if refresh_enabled {
+        rank.next_refresh_event()
+    } else {
+        u64::MAX
     }
 }
 
@@ -91,14 +208,19 @@ impl Channel {
 ///
 /// Drive it by calling [`MemorySystem::enqueue`] and [`MemorySystem::tick`];
 /// completed requests appear via [`MemorySystem::completed`] /
-/// [`MemorySystem::take_completed`].
+/// [`MemorySystem::drain_completed`].
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: DramConfig,
     addr_map: AddrMap,
     channels: Vec<Channel>,
     now: u64,
-    pending: BinaryHeap<Reverse<PendingDone>>,
+    /// Requests waiting in any queue.
+    queued: usize,
+    /// Issued bursts awaiting their finish cycle, one FIFO per access kind
+    /// (reads, then writes). Each kind has a fixed CAS-to-data latency, so
+    /// a FIFO's issue order is its finish order.
+    in_flight: [VecDeque<Response>; 2],
     completed: Vec<Response>,
     stats: MemoryStats,
     /// Opt-in per-command trace (`None` = disabled, the default; the
@@ -139,6 +261,11 @@ pub struct CommandRecord {
 
 impl MemorySystem {
     /// Build a memory system for `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has more banks per rank than
+    /// [`MAX_BANKS_PER_RANK`](crate::rank::MAX_BANKS_PER_RANK).
     pub fn new(config: DramConfig) -> Self {
         let addr_map = AddrMap::new(&config);
         let channels = (0..config.channels)
@@ -149,7 +276,8 @@ impl MemorySystem {
             addr_map,
             channels,
             now: 0,
-            pending: BinaryHeap::new(),
+            queued: 0,
+            in_flight: Default::default(),
             completed: Vec::new(),
             stats: MemoryStats::default(),
             command_trace: None,
@@ -225,14 +353,19 @@ impl MemorySystem {
             .collect()
     }
 
+    /// Index of the queue a request on `port` to `rank` joins.
+    fn queue_index(port: Port, rank: usize) -> usize {
+        match port {
+            Port::Host => HOST,
+            Port::Ndp => rank + 1,
+        }
+    }
+
     /// Whether a request can currently be accepted on `port` for `addr`.
     pub fn can_accept(&self, addr: u64, port: Port) -> bool {
         let loc = self.addr_map.decode(addr);
-        let ch = &self.channels[loc.channel];
-        match port {
-            Port::Host => ch.host_queue.len() < self.config.queue_depth,
-            Port::Ndp => ch.ndp_queues[loc.rank].len() < self.config.queue_depth,
-        }
+        let qi = Self::queue_index(port, loc.rank);
+        self.channels[loc.channel].queues[qi].requests.len() < self.config.queue_depth
     }
 
     /// Enqueue a 64 B request.
@@ -244,39 +377,37 @@ impl MemorySystem {
         let loc = self.addr_map.decode(req.addr);
         req.loc = loc;
         req.arrival = self.now;
+        let qi = Self::queue_index(req.port, loc.rank);
         let ch = &mut self.channels[loc.channel];
-        match req.port {
-            Port::Host => {
-                if ch.host_queue.len() >= self.config.queue_depth {
-                    return Err(req);
-                }
-                ch.host_queue.push(req);
-                ch.host_outcome.push(None);
-            }
-            Port::Ndp => {
-                if ch.ndp_queues[loc.rank].len() >= self.config.queue_depth {
-                    return Err(req);
-                }
-                ch.ndp_queues[loc.rank].push(req);
-                ch.ndp_outcome[loc.rank].push(None);
-            }
+        if ch.queues[qi].requests.len() >= self.config.queue_depth {
+            return Err(req);
         }
+        // The new request can only lower its queue's ready cycle.
+        if let Some(e) = ch.earliest_issue(qi, &req, &self.config.timing) {
+            ch.queues[qi].ready = ch.queues[qi].ready.min(e);
+            ch.next_due = ch.next_due.min(e);
+        }
+        ch.queues[qi].requests.push(req);
+        ch.queues[qi].outcome.push(None);
+        self.queued += 1;
         Ok(())
     }
 
-    /// Responses completed but not yet taken.
+    /// Responses completed but not yet drained.
     pub fn completed(&self) -> &[Response] {
         &self.completed
     }
 
-    /// Drain and return all completed responses.
-    pub fn take_completed(&mut self) -> Vec<Response> {
-        std::mem::take(&mut self.completed)
+    /// Move every completed response, in completion order, onto the end of
+    /// `out`. The internal buffer keeps its capacity, so a driver that
+    /// drains into one reused vector allocates nothing per completion.
+    pub fn drain_completed(&mut self, out: &mut Vec<Response>) {
+        out.append(&mut self.completed);
     }
 
     /// Whether any request is queued or in flight.
     pub fn busy(&self) -> bool {
-        !self.pending.is_empty() || self.channels.iter().any(|c| !c.is_idle())
+        self.queued > 0 || self.in_flight.iter().any(|f| !f.is_empty())
     }
 
     /// Advance the clock directly to `cycle` when the system is idle.
@@ -305,87 +436,20 @@ impl MemorySystem {
         Ok(())
     }
 
-    /// Lower bound on the earliest cycle at which `req` (queued on `ch`)
-    /// could have its next command issued, given the current frozen state.
-    /// Never later than the true issue cycle; may be earlier (e.g. while a
-    /// refresh drain suppresses activates).
-    fn earliest_request_issue(&self, ch: &Channel, req: &Request, host: bool) -> Option<u64> {
-        let t = &self.config.timing;
-        let rank = &ch.ranks[req.loc.rank];
-        let is_read = req.kind == AccessKind::Read;
-        let kind = rank.needed_command(req.loc.bank_group, req.loc.bank, req.loc.row, is_read);
-        let bank = rank.bank(req.loc.bank_group, req.loc.bank);
-        let mut e = bank.earliest(kind);
-        match kind {
-            CommandKind::Activate => {
-                if self.config.refresh_enabled && rank.refresh_pending() {
-                    // Unissuable until the refresh fires, which is itself
-                    // a tracked event — contribute nothing.
-                    return None;
-                }
-                e = e.max(rank.earliest_act(req.loc.bank_group, t));
-            }
-            CommandKind::Read | CommandKind::Write => {
-                e = e.max(rank.earliest_cas(req.loc.bank_group, kind, t));
-                // Data-bus backpressure: a CAS issued at cycle x starts its
-                // burst at x + CL/CWL, which must not precede bus release.
-                let lead = if kind == CommandKind::Read {
-                    t.cl
-                } else {
-                    t.cwl
-                };
-                let needed = if host {
-                    if ch.host_bus_last_rank.is_some()
-                        && ch.host_bus_last_rank != Some(req.loc.rank)
-                    {
-                        ch.host_bus_free + t.rank_switch
-                    } else {
-                        ch.host_bus_free
-                    }
-                } else {
-                    rank.local_bus_free
-                };
-                e = e.max(needed.saturating_sub(lead));
-            }
-            CommandKind::Precharge | CommandKind::Refresh => {}
-        }
-        Some(e)
-    }
-
     /// The earliest future cycle at which the system state can change: the
     /// next pending burst retirement, the earliest issue opportunity of any
     /// queued request, or a refresh deadline/drain step. Returns `None`
     /// only when the system is idle with refresh disabled. The value is a
     /// lower bound: ticking any cycle strictly before it is a no-op.
     pub fn next_event_cycle(&self) -> Option<u64> {
-        let mut next = u64::MAX;
-        if let Some(Reverse(head)) = self.pending.peek() {
-            next = next.min(head.finish);
-        }
-        for ch in &self.channels {
-            if self.config.refresh_enabled {
-                for rank in &ch.ranks {
-                    next = next.min(rank.next_refresh_event());
-                }
-            }
-            for req in &ch.host_queue {
-                if let Some(e) = self.earliest_request_issue(ch, req, true) {
-                    next = next.min(e);
-                }
-            }
-            for q in &ch.ndp_queues {
-                for req in q {
-                    if let Some(e) = self.earliest_request_issue(ch, req, false) {
-                        next = next.min(e);
-                    }
-                }
-            }
-        }
-        if next == u64::MAX {
-            None
-        } else {
-            Some(next)
-        }
+        let next = self
+            .in_flight
+            .iter()
+            .filter_map(|f| f.front().map(|r| r.finish))
+            .chain(self.channels.iter().map(|c| c.next_due))
+            .min()
+            .unwrap_or(u64::MAX);
+        (next != u64::MAX).then_some(next)
     }
 
     /// Jump the clock forward to `min(limit, next_event_cycle())` without
@@ -439,215 +503,190 @@ impl MemorySystem {
         );
     }
 
+    /// Check every cached ready cycle, `refresh_at` and channel horizon
+    /// against a from-scratch scan of every queued request, and check that
+    /// FR-FCFS finds nothing to issue now on any queue the tick gate would
+    /// skip. Debug builds run it on a sample of ticks; the property tests
+    /// run it after every step.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first stale cache or wrongly gated queue found.
+    pub fn verify_ready_caches(&self) -> Result<(), String> {
+        let t = &self.config.timing;
+        let now = self.now;
+        for (c, ch) in self.channels.iter().enumerate() {
+            if ch.touched.contains(&true) {
+                return Err(format!("channel {c}: a touched rank outlived its tick"));
+            }
+            let mut due = u64::MAX;
+            for (r, rank) in ch.ranks.iter().enumerate() {
+                let want = refresh_event(rank, self.config.refresh_enabled);
+                if ch.refresh_at[r] != want {
+                    return Err(format!(
+                        "channel {c} rank {r}: refresh_at cached {} but scans {want}",
+                        ch.refresh_at[r]
+                    ));
+                }
+                due = due.min(want);
+            }
+            for (qi, q) in ch.queues.iter().enumerate() {
+                let want = ch.scan_ready(qi, t);
+                if q.ready != want {
+                    return Err(format!(
+                        "channel {c} queue {qi}: ready cached {} but scans {want}",
+                        q.ready
+                    ));
+                }
+                due = due.min(want);
+                if q.ready > now && ch.pick(qi, now, t).is_some() {
+                    return Err(format!(
+                        "channel {c} queue {qi}: gated off at cycle {now}, but FR-FCFS issues"
+                    ));
+                }
+            }
+            if ch.next_due != due {
+                return Err(format!(
+                    "channel {c}: next_due cached {} but scans {due}",
+                    ch.next_due
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Move the bursts that finish by `now` to the completed buffer in
+    /// `(finish, id)` order.
+    fn retire(&mut self, now: u64) {
+        let start = self.completed.len();
+        for fifo in &mut self.in_flight {
+            while fifo.front().is_some_and(|r| r.finish <= now) {
+                self.completed.extend(fifo.pop_front());
+            }
+        }
+        if self.completed.len() - start > 1 {
+            self.completed[start..].sort_by_key(|r| (r.finish, r.id));
+        }
+    }
+
     /// Advance one cycle: retire finished bursts, schedule refreshes, and
     /// issue at most one host command per channel plus one NDP command per
-    /// rank.
+    /// rank. A channel whose cached horizon lies ahead is skipped whole;
+    /// otherwise only ranks due for refresh management and queues that are
+    /// stale or ready take their turn. Debug builds check the caches with
+    /// [`MemorySystem::verify_ready_caches`] after one tick in 64.
     pub fn tick(&mut self) {
         let now = self.now;
-        // Retire finished data bursts.
-        while let Some(Reverse(head)) = self.pending.peek() {
-            if head.finish > now {
-                break;
+        self.retire(now);
+        let MemorySystem {
+            config,
+            channels,
+            queued,
+            in_flight,
+            stats,
+            command_trace,
+            ..
+        } = self;
+        let t = &config.timing;
+        for (ch_idx, ch) in channels.iter_mut().enumerate() {
+            if ch.next_due > now {
+                continue;
             }
-            let done = self.pending.pop().expect("peeked").0;
-            self.completed.push(done.response);
-        }
-
-        let timing = self.config.timing.clone();
-        let refresh_enabled = self.config.refresh_enabled;
-        let queue_policy_cl = timing.cl;
-        let queue_policy_cwl = timing.cwl;
-        let burst = timing.burst_cycles;
-        let rank_switch = timing.rank_switch;
-
-        for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
-            // --- Refresh management -------------------------------------
-            if refresh_enabled {
-                for rank in ch.ranks.iter_mut() {
-                    if rank.refresh_due(now) && !rank.refresh_pending() {
-                        rank.set_refresh_pending(true);
-                    }
-                    if rank.refresh_pending() {
-                        if rank.all_precharged() {
-                            let refc = crate::command::Command {
-                                kind: CommandKind::Refresh,
-                                bank_group: 0,
-                                bank: 0,
-                                row: 0,
-                                column: 0,
-                            };
-                            if rank.can_issue(&refc, now, &timing) {
-                                rank.issue(&refc, now, &timing);
-                            }
-                        } else {
-                            rank.force_precharge_one(now, &timing);
-                        }
-                    }
+            let mut host_stale = false;
+            for r in 0..ch.ranks.len() {
+                if ch.refresh_at[r] <= now {
+                    ch.ranks[r].refresh_step(now, t);
+                    ch.touched[r] = true;
+                    host_stale = true;
                 }
             }
-
-            // --- Host path: one command per channel C/A bus per cycle ----
-            let host_bus_free = ch.host_bus_free;
-            let host_last_rank = ch.host_bus_last_rank;
-            let decision = scheduler::pick(
-                &ch.host_queue,
-                &ch.ranks,
-                now,
-                &timing,
-                |rank_idx, kind, t| {
-                    let data_start = t + if kind == CommandKind::Read {
-                        queue_policy_cl
-                    } else {
-                        queue_policy_cwl
-                    };
-                    let needed = if host_last_rank.is_some() && host_last_rank != Some(rank_idx) {
-                        host_bus_free + rank_switch
-                    } else {
-                        host_bus_free
-                    };
-                    data_start >= needed
-                },
-            );
-            if let Some(d) = decision {
-                let req_kind;
-                {
-                    let req = &ch.host_queue[d.queue_index];
-                    req_kind = req.kind;
+            // Host queue first (one command on the channel C/A bus), then
+            // one command per rank-local C/A bus.
+            for qi in 0..ch.queues.len() {
+                let stale = if qi == HOST {
+                    host_stale
+                } else {
+                    ch.touched[qi - 1]
+                };
+                if ch.queues[qi].requests.is_empty() || (!stale && ch.queues[qi].ready > now) {
+                    continue;
                 }
-                if ch.host_outcome[d.queue_index].is_none() {
-                    ch.host_outcome[d.queue_index] = Some(d.row_hit);
+                let Some(d) = ch.pick(qi, now, t) else {
+                    continue;
+                };
+                debug_assert!(qi == HOST || d.rank == qi - 1, "NDP queue is rank-local");
+                ch.touched[d.rank] = true;
+                host_stale = true;
+                let q = &mut ch.queues[qi];
+                if q.outcome[d.queue_index].is_none() {
+                    q.outcome[d.queue_index] = Some(d.row_hit);
                     let conflict = d.command.kind == CommandKind::Precharge;
                     ch.ranks[d.rank].record_outcome(&d.command, d.row_hit, conflict);
                     if d.row_hit {
-                        self.stats.row_hits += 1;
+                        stats.row_hits += 1;
                     } else if conflict {
-                        self.stats.row_conflicts += 1;
+                        stats.row_conflicts += 1;
                     } else {
-                        self.stats.row_misses += 1;
+                        stats.row_misses += 1;
                     }
                 }
-                ch.ranks[d.rank].issue(&d.command, now, &timing);
-                if let Some(trace) = self.command_trace.as_mut() {
+                ch.ranks[d.rank].issue(&d.command, now, t);
+                if let Some(trace) = command_trace.as_mut() {
                     trace.push(CommandRecord {
                         cycle: now,
                         kind: d.command.kind,
                         channel: ch_idx,
                         rank: d.rank,
                         row_hit: d.row_hit,
-                        ndp: false,
+                        ndp: qi != HOST,
                     });
                 }
-                if d.completes {
-                    let req = ch.host_queue.remove(d.queue_index);
-                    let first_hit = ch.host_outcome.remove(d.queue_index).unwrap_or(d.row_hit);
-                    let lat = if req_kind == AccessKind::Read {
-                        queue_policy_cl + burst
-                    } else {
-                        queue_policy_cwl + burst
-                    };
-                    let finish = now + lat;
-                    ch.host_bus_free = finish;
-                    ch.host_bus_last_rank = Some(d.rank);
-                    self.stats.host_bus_busy_cycles += burst;
-                    match req.kind {
-                        AccessKind::Read => self.stats.host_reads += 1,
-                        AccessKind::Write => self.stats.host_writes += 1,
-                    }
-                    self.stats.host_latency_sum += finish - req.arrival;
-                    self.pending.push(Reverse(PendingDone {
-                        finish,
-                        response: Response {
-                            id: req.id,
-                            kind: req.kind,
-                            arrival: req.arrival,
-                            finish,
-                            row_hit: first_hit,
-                        },
-                    }));
-                }
-            }
-
-            // --- NDP path: one command per rank-local C/A per cycle -------
-            for rank_idx in 0..ch.ranks.len() {
-                if ch.ndp_queues[rank_idx].is_empty() {
+                if !d.completes {
                     continue;
                 }
-                let local_bus_free = ch.ranks[rank_idx].local_bus_free;
-                let decision = scheduler::pick(
-                    &ch.ndp_queues[rank_idx],
-                    &ch.ranks,
-                    now,
-                    &timing,
-                    |_, kind, t| {
-                        let data_start = t + if kind == CommandKind::Read {
-                            queue_policy_cl
-                        } else {
-                            queue_policy_cwl
-                        };
-                        data_start >= local_bus_free
-                    },
-                );
-                if let Some(d) = decision {
-                    debug_assert_eq!(d.rank, rank_idx, "NDP queue is rank-local");
-                    let req_kind = ch.ndp_queues[rank_idx][d.queue_index].kind;
-                    if ch.ndp_outcome[rank_idx][d.queue_index].is_none() {
-                        ch.ndp_outcome[rank_idx][d.queue_index] = Some(d.row_hit);
-                        let conflict = d.command.kind == CommandKind::Precharge;
-                        ch.ranks[d.rank].record_outcome(&d.command, d.row_hit, conflict);
-                        if d.row_hit {
-                            self.stats.row_hits += 1;
-                        } else if conflict {
-                            self.stats.row_conflicts += 1;
-                        } else {
-                            self.stats.row_misses += 1;
-                        }
+                let req = q.requests.remove(d.queue_index);
+                let row_hit = q.outcome.remove(d.queue_index).unwrap_or(d.row_hit);
+                let read = req.kind == AccessKind::Read;
+                let finish = now + cas_lead(read, t) + t.burst_cycles;
+                let latency = finish - req.arrival;
+                if qi == HOST {
+                    ch.host_bus_free = finish;
+                    ch.host_bus_last_rank = Some(d.rank);
+                    stats.host_bus_busy_cycles += t.burst_cycles;
+                    stats.host_latency_sum += latency;
+                    match req.kind {
+                        AccessKind::Read => stats.host_reads += 1,
+                        AccessKind::Write => stats.host_writes += 1,
                     }
-                    ch.ranks[d.rank].issue(&d.command, now, &timing);
-                    if let Some(trace) = self.command_trace.as_mut() {
-                        trace.push(CommandRecord {
-                            cycle: now,
-                            kind: d.command.kind,
-                            channel: ch_idx,
-                            rank: d.rank,
-                            row_hit: d.row_hit,
-                            ndp: true,
-                        });
-                    }
-                    if d.completes {
-                        let req = ch.ndp_queues[rank_idx].remove(d.queue_index);
-                        let first_hit = ch.ndp_outcome[rank_idx]
-                            .remove(d.queue_index)
-                            .unwrap_or(d.row_hit);
-                        let lat = if req_kind == AccessKind::Read {
-                            queue_policy_cl + burst
-                        } else {
-                            queue_policy_cwl + burst
-                        };
-                        let finish = now + lat;
-                        ch.ranks[rank_idx].local_bus_free = finish;
-                        self.stats.ndp_bus_busy_cycles += burst;
-                        match req.kind {
-                            AccessKind::Read => self.stats.ndp_reads += 1,
-                            AccessKind::Write => self.stats.ndp_writes += 1,
-                        }
-                        self.stats.ndp_latency_sum += finish - req.arrival;
-                        self.pending.push(Reverse(PendingDone {
-                            finish,
-                            response: Response {
-                                id: req.id,
-                                kind: req.kind,
-                                arrival: req.arrival,
-                                finish,
-                                row_hit: first_hit,
-                            },
-                        }));
+                } else {
+                    ch.ranks[d.rank].local_bus_free = finish;
+                    stats.ndp_bus_busy_cycles += t.burst_cycles;
+                    stats.ndp_latency_sum += latency;
+                    match req.kind {
+                        AccessKind::Read => stats.ndp_reads += 1,
+                        AccessKind::Write => stats.ndp_writes += 1,
                     }
                 }
+                *queued -= 1;
+                in_flight[usize::from(!read)].push_back(Response {
+                    id: req.id,
+                    kind: req.kind,
+                    arrival: req.arrival,
+                    finish,
+                    row_hit,
+                });
             }
+            ch.rescan_stale(host_stale, config.refresh_enabled, t);
         }
 
         self.now += 1;
         self.cycles_ticked += 1;
+        #[cfg(debug_assertions)]
+        if self.cycles_ticked % 64 == 1 {
+            if let Err(e) = self.verify_ready_caches() {
+                panic!("stale DRAM ready cache after the tick at cycle {now}: {e}");
+            }
+        }
     }
 
     /// Advance until at least one response sits in the completed buffer,
@@ -715,10 +754,7 @@ impl MemorySystem {
                 self.skip_to_event(u64::MAX);
             }
         }
-        debug_assert!(
-            self.pending.is_empty() && self.channels.iter().all(Channel::is_idle),
-            "drain_all returned with work still queued"
-        );
+        debug_assert!(!self.busy(), "drain_all returned with work still queued");
         self.now - start
     }
 }
@@ -741,11 +777,34 @@ mod tests {
         read_at(&mut mem, 1, 0, Port::Host);
         let cycles = mem.drain_all();
         assert!(cycles > 0);
-        let done = mem.take_completed();
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
         assert_eq!(done.len(), 1);
         // Closed bank: ACT at cycle 0, RD at tRCD, data at tRCD+CL+BL.
         assert_eq!(done[0].latency(), t.rcd + t.cl + t.burst_cycles);
         assert!(!done[0].row_hit);
+    }
+
+    #[test]
+    fn same_cycle_bursts_retire_in_id_order() {
+        let mut cfg = DramConfig::ddr5_4800();
+        cfg.refresh_enabled = false;
+        let t = cfg.timing.clone();
+        let mut mem = MemorySystem::new(cfg);
+        // Lines 0 and 1 sit on channels 0 and 1: both reads issue in the
+        // same cycles, channel 0 first, and finish together.
+        read_at(&mut mem, 7, 0, Port::Host);
+        read_at(&mut mem, 2, 64, Port::Host);
+        // A write issued alongside on channel 2 finishes CL - CWL earlier.
+        mem.enqueue(Request::new(9, AccessKind::Write, 128, Port::Host))
+            .expect("space");
+        mem.drain_all();
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
+        let order: Vec<(u64, u64)> = done.iter().map(|r| (r.finish, r.id)).collect();
+        let read = t.rcd + t.cl + t.burst_cycles;
+        let write = t.rcd + t.cwl + t.burst_cycles;
+        assert_eq!(order, vec![(write, 9), (read, 2), (read, 7)]);
     }
 
     #[test]
@@ -810,7 +869,8 @@ mod tests {
         read_at(&mut mem, 1, 0, Port::Host);
         read_at(&mut mem, 2, 64, Port::Host); // tiny has 1 channel → column 1
         mem.drain_all();
-        let done = mem.take_completed();
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
         assert_eq!(done.len(), 2);
         let second = done.iter().find(|r| r.id == 2).expect("id 2 done");
         assert!(second.row_hit);
@@ -881,7 +941,8 @@ mod tests {
             mem.tick();
         }
         mem.drain_all();
-        let done = mem.take_completed();
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
         assert_eq!(done.len(), 16);
         let last = done.iter().map(|r| r.finish).max().expect("nonempty");
         // Lower bound: 16 bursts cannot finish faster than 16 × tCCD_L.
@@ -928,7 +989,8 @@ mod tests {
         mem.enqueue(Request::new(9, AccessKind::Write, 4096, Port::Host))
             .expect("space");
         mem.drain_all();
-        let done = mem.take_completed();
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].kind, AccessKind::Write);
         assert_eq!(mem.stats().host_writes, 1);
@@ -944,7 +1006,8 @@ mod tests {
         mem.drain_all();
         read_at(&mut mem, 2, 64, Port::Host); // same row, next column
         mem.drain_all();
-        let done = mem.take_completed();
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
         let second = done.iter().find(|r| r.id == 2).expect("id 2 done");
         assert!(!second.row_hit, "closed policy auto-precharges after CAS");
         assert_eq!(mem.stats().row_misses, 2);
@@ -978,7 +1041,8 @@ mod tests {
         read_at(&mut mem, 1, 0, Port::Host);
         let advanced = mem.advance_to_completion();
         assert!(advanced > 0);
-        let done = mem.take_completed();
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].latency(), t.rcd + t.cl + t.burst_cycles);
         // Counters split the advance into ticked + skipped cycles.
@@ -999,7 +1063,9 @@ mod tests {
         assert!(mem.can_accept(128, Port::Host));
         read_at(&mut mem, 2, 128, Port::Host);
         mem.drain_all();
-        assert_eq!(mem.take_completed().len(), 3);
+        let mut done = Vec::new();
+        mem.drain_completed(&mut done);
+        assert_eq!(done.len(), 3);
         assert!(!mem.busy());
     }
 

@@ -8,11 +8,16 @@ use crate::bank::Bank;
 use crate::command::{Command, CommandKind};
 use crate::config::{DramConfig, PagePolicy, Timing};
 
+/// Banks a rank can hold: the width of [`Rank`]'s open-bank mask.
+pub const MAX_BANKS_PER_RANK: usize = u64::BITS as usize;
+
 /// One DRAM rank with its banks and rank-level constraint state.
 #[derive(Debug, Clone)]
 pub struct Rank {
     banks: Vec<Bank>,
-    bank_groups: usize,
+    /// Bit `i` is set while bank `i` (group-major index) holds an open
+    /// row, so refresh drains visit only open banks.
+    open: u64,
     banks_per_group: usize,
     page_policy: PagePolicy,
     /// Last ACT cycle per bank group (for tRRD_L) and rank-wide (tRRD_S).
@@ -47,11 +52,20 @@ pub struct Rank {
 
 impl Rank {
     /// Create a rank for `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has more than [`MAX_BANKS_PER_RANK`] banks per
+    /// rank (the open-bank mask would wrap).
     pub fn new(config: &DramConfig) -> Self {
         let nbanks = config.banks_per_rank();
+        assert!(
+            nbanks <= MAX_BANKS_PER_RANK,
+            "{nbanks} banks per rank exceed the {MAX_BANKS_PER_RANK} the open-bank mask holds"
+        );
         Rank {
             banks: vec![Bank::default(); nbanks],
-            bank_groups: config.bank_groups,
+            open: 0,
             banks_per_group: config.banks_per_group,
             page_policy: config.page_policy,
             last_act_rank: None,
@@ -83,17 +97,48 @@ impl Rank {
 
     /// Whether every bank is precharged (required before refresh).
     pub fn all_precharged(&self) -> bool {
-        self.banks.iter().all(Bank::is_precharged)
+        self.open == 0
     }
 
-    /// Whether a refresh is due at or before `now`.
-    pub fn refresh_due(&self, now: u64) -> bool {
-        now >= self.next_refresh
+    /// Indices of the banks holding an open row, ascending.
+    fn open_banks(&self) -> impl Iterator<Item = usize> {
+        let mut mask = self.open;
+        std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let idx = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            Some(idx)
+        })
     }
 
-    /// Mark that the scheduler has begun draining for refresh.
-    pub fn set_refresh_pending(&mut self, pending: bool) {
-        self.refresh_pending = pending;
+    /// One cycle of refresh management at `now`: once the deadline passes,
+    /// mark the rank as draining; while draining, precharge one open bank
+    /// or, with every bank precharged, issue the refresh when its timing
+    /// allows. A no-op whenever `now` is before
+    /// [`next_refresh_event`](Rank::next_refresh_event).
+    pub(crate) fn refresh_step(&mut self, now: u64, t: &Timing) {
+        if now >= self.next_refresh {
+            self.refresh_pending = true;
+        }
+        if !self.refresh_pending {
+            return;
+        }
+        if self.all_precharged() {
+            let refresh = Command {
+                kind: CommandKind::Refresh,
+                bank_group: 0,
+                bank: 0,
+                row: 0,
+                column: 0,
+            };
+            if self.can_issue(&refresh, now, t) {
+                self.issue(&refresh, now, t);
+            }
+        } else {
+            self.force_precharge_one(now, t);
+        }
     }
 
     /// Whether the rank is draining toward a refresh (new row activity
@@ -163,6 +208,11 @@ impl Rank {
         let idx = self.bank_index(cmd);
         let auto_pre = self.page_policy == PagePolicy::Closed && cmd.kind.is_cas();
         self.banks[idx].issue(cmd, now, t, auto_pre);
+        if self.banks[idx].is_precharged() {
+            self.open &= !(1 << idx);
+        } else {
+            self.open |= 1 << idx;
+        }
         match cmd.kind {
             CommandKind::Activate => {
                 self.last_act_rank = Some(now);
@@ -212,28 +262,22 @@ impl Rank {
     }
 
     /// Controller-generated precharge used to drain open banks ahead of a
-    /// refresh. Precharges the first open bank whose timing allows it and
-    /// returns the command issued, if any.
-    pub fn force_precharge_one(&mut self, now: u64, t: &Timing) -> Option<Command> {
-        for bg in 0..self.bank_groups {
-            for b in 0..self.banks_per_group {
-                let bank = self.bank(bg, b);
-                if let Some(row) = bank.open_row() {
-                    let cmd = Command {
-                        kind: CommandKind::Precharge,
-                        bank_group: bg,
-                        bank: b,
-                        row,
-                        column: 0,
-                    };
-                    if self.can_issue(&cmd, now, t) {
-                        self.issue(&cmd, now, t);
-                        return Some(cmd);
-                    }
-                }
+    /// refresh: precharges the first open bank, in group-major order, whose
+    /// timing allows it.
+    fn force_precharge_one(&mut self, now: u64, t: &Timing) {
+        for idx in self.open_banks() {
+            let cmd = Command {
+                kind: CommandKind::Precharge,
+                bank_group: idx / self.banks_per_group,
+                bank: idx % self.banks_per_group,
+                row: self.banks[idx].open_row().expect("open-bank mask"),
+                column: 0,
+            };
+            if self.can_issue(&cmd, now, t) {
+                self.issue(&cmd, now, t);
+                return;
             }
         }
-        None
     }
 
     /// The command the rank needs to issue next to serve a CAS to
@@ -300,10 +344,8 @@ impl Rank {
             self.banks[0].earliest(CommandKind::Refresh)
         } else {
             // The next controller-forced drain precharge.
-            self.banks
-                .iter()
-                .filter(|b| !b.is_precharged())
-                .map(|b| b.earliest(CommandKind::Precharge))
+            self.open_banks()
+                .map(|idx| self.banks[idx].earliest(CommandKind::Precharge))
                 .min()
                 .unwrap_or(self.next_refresh)
         }

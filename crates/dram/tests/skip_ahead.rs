@@ -3,7 +3,7 @@
 //! completion cycles, statistics, and command counts as ticking through
 //! every cycle.
 
-use ansmet_dram::{AccessKind, DramConfig, MemoryStats, MemorySystem, Port, Request};
+use ansmet_dram::{AccessKind, DramConfig, MemoryStats, MemorySystem, Port, Request, Response};
 
 /// One scheduled request: absolute arrival cycle, line index, read?, ndp?
 type Op = (u64, u64, bool, bool);
@@ -52,6 +52,13 @@ fn stream(cfg: &DramConfig, seed: u64, ops: u64) -> Vec<Op> {
         .collect()
 }
 
+/// Every response completed so far.
+fn drain(mem: &mut MemorySystem) -> Vec<Response> {
+    let mut out = Vec::new();
+    mem.drain_completed(&mut out);
+    out
+}
+
 /// Drive `ops` to completion. With `skip`, jump over dead cycles via
 /// `skip_to_event`; otherwise tick every cycle.
 fn run_stream(cfg: &DramConfig, ops: &[Op], skip: bool) -> StreamOutcome {
@@ -77,7 +84,7 @@ fn run_stream(cfg: &DramConfig, ops: &[Op], skip: bool) -> StreamOutcome {
             }
         }
         mem.tick();
-        for r in mem.take_completed() {
+        for r in drain(&mut mem) {
             done.push((r.id, r.finish));
         }
         if skip {
@@ -116,7 +123,7 @@ fn run_stream_drained(cfg: &DramConfig, ops: &[Op]) -> StreamOutcome {
         // would jump over refresh cycles the tick reference performs).
         while mem.now() < at {
             mem.tick();
-            for r in mem.take_completed() {
+            for r in drain(&mut mem) {
                 done.push((r.id, r.finish));
             }
             mem.skip_to_event(at);
@@ -128,14 +135,14 @@ fn run_stream_drained(cfg: &DramConfig, ops: &[Op]) -> StreamOutcome {
         };
         let port = if ndp { Port::Ndp } else { Port::Host };
         mem.advance_until_accept(line * 64, port);
-        for r in mem.take_completed() {
+        for r in drain(&mut mem) {
             done.push((r.id, r.finish));
         }
         mem.enqueue(Request::new(i as u64, kind, line * 64, port))
             .expect("slot guaranteed by advance_until_accept");
     }
     mem.drain_all();
-    for r in mem.take_completed() {
+    for r in drain(&mut mem) {
         done.push((r.id, r.finish));
     }
     assert_eq!(mem.cycles_ticked() + mem.cycles_skipped(), mem.now());

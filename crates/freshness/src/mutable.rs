@@ -70,6 +70,11 @@ impl MutableIndex {
     /// Build an HNSW index over `data` and wrap it. `level_seed` seeds
     /// the *streaming* level RNG (independent of the build seed, so a
     /// snapshot can replay it without replaying the build).
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Hnsw::build`] does: on an empty dataset, or on `params`
+    /// whose levels fail [`HnswParams::check_levels`].
     pub fn build_hnsw(data: Dataset, params: HnswParams, level_seed: u64) -> Self {
         let hnsw = Hnsw::build(&data, params);
         let fresh = vec![false; data.len()];

@@ -51,10 +51,6 @@ const HEADER_LEN: usize = 16;
 const CHECKSUM_LEN: usize = 8;
 /// Backend tag of the HNSW graph, the only backend this build reads.
 const HNSW_BACKEND: u8 = 0;
-/// Deepest HNSW level a restored level multiplier may ever draw. The
-/// paper's `1 / ln M` reaches 51 at `M = 2`; a forged multiplier past
-/// this would make the next insert allocate layers without bound.
-const MAX_LEVEL: f64 = 64.0;
 
 /// Why a snapshot failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -413,13 +409,10 @@ fn read_hnsw(r: &mut Reader, n: usize) -> Result<Hnsw, SnapshotError> {
         seed,
         level_mult,
     };
-    // `sample_level` floors `-ln(u) · mult` for `u` in `[ε, 1)`.
-    let deepest = -f64::EPSILON.ln() * params.effective_level_mult();
-    if !(0.0..MAX_LEVEL).contains(&deepest) {
-        return malformed(format!(
-            "hnsw level multiplier {} draws levels up to {deepest}",
-            params.effective_level_mult()
-        ));
+    // A forged multiplier would make the next insert allocate layers
+    // without bound.
+    if let Err(e) = params.check_levels() {
+        return malformed(e);
     }
     let entry = r.u32("hnsw entry")? as usize;
     let layers = r.u32("hnsw layer count")? as usize;

@@ -17,6 +17,11 @@ use crate::oracle::{DistanceOracle, DistanceOutcome};
 use crate::trace::{Eval, Hop, HopKind, SearchTrace};
 use crate::visited::VisitedSet;
 
+/// Bound on the deepest level [`HnswParams::sample_level`] may draw. The
+/// paper's `1 / ln M` multiplier reaches 51 at `M = 2`; a larger
+/// multiplier would make builds and inserts allocate layers without bound.
+pub const MAX_LEVEL: f64 = 64.0;
+
 /// HNSW construction parameters (§6 of the paper: `efConstruction = 500`,
 /// maximum degree 16).
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +62,27 @@ impl HnswParams {
     /// The effective level multiplier (`1 / ln(M)` unless overridden).
     pub fn effective_level_mult(&self) -> f64 {
         self.level_mult.unwrap_or(1.0 / (self.m as f64).ln())
+    }
+
+    /// Check that every level [`sample_level`](HnswParams::sample_level)
+    /// can draw lies in `[0, MAX_LEVEL)`.
+    ///
+    /// # Errors
+    ///
+    /// Names the multiplier and the deepest level it draws when that level
+    /// is out of range: `m = 1` without an override (`1 / ln 1` is
+    /// infinite), or a negative, NaN or oversized override.
+    pub fn check_levels(&self) -> Result<(), String> {
+        // `sample_level` floors `-ln(u) · mult` for `u` in `[ε, 1)`.
+        let mult = self.effective_level_mult();
+        let deepest = -f64::EPSILON.ln() * mult;
+        if (0.0..MAX_LEVEL).contains(&deepest) {
+            Ok(())
+        } else {
+            Err(format!(
+                "hnsw level multiplier {mult} draws levels up to {deepest}"
+            ))
+        }
     }
 
     /// Draw one exponentially-distributed layer assignment. Build and
@@ -110,9 +136,14 @@ impl Hnsw {
     ///
     /// # Panics
     ///
-    /// Panics if the dataset is empty.
+    /// Panics if the dataset is empty, or if `params` fails
+    /// [`HnswParams::check_levels`] (for example `m = 1` without a level
+    /// multiplier), before any level is drawn.
     pub fn build(data: &Dataset, params: HnswParams) -> Self {
         assert!(!data.is_empty(), "cannot build HNSW over an empty dataset");
+        if let Err(e) = params.check_levels() {
+            panic!("cannot build HNSW: {e}");
+        }
         let n = data.len();
         let mut rng = SmallRng::seed_from_u64(params.seed);
 
@@ -646,6 +677,40 @@ mod tests {
         let r = hnsw.search(data.vector(123), 1, 40, &mut o);
         assert_eq!(r.ids()[0], 123);
         assert_eq!(r.neighbors()[0].dist, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot build HNSW: hnsw level multiplier inf")]
+    fn m_of_one_is_rejected_before_any_level_is_drawn() {
+        // 1 / ln 1 is infinite: every drawn level would saturate.
+        let (data, _) = SynthSpec::sift().scaled(20, 1).generate();
+        let params = HnswParams {
+            m: 1,
+            level_mult: None,
+            ..HnswParams::quick()
+        };
+        Hnsw::build(&data, params);
+    }
+
+    #[test]
+    fn level_range_check_rejects_unbounded_multipliers() {
+        assert!(HnswParams::default().check_levels().is_ok());
+        let with = |m, level_mult| HnswParams {
+            m,
+            level_mult,
+            ..HnswParams::default()
+        };
+        // 1 / ln 2 draws at most level 51.
+        assert!(with(2, None).check_levels().is_ok());
+        for bad in [
+            with(1, None),
+            with(16, Some(-1.0)),
+            with(16, Some(f64::NAN)),
+            with(16, Some(2.0)),
+        ] {
+            let e = bad.check_levels().expect_err("out-of-range levels");
+            assert!(e.contains("level multiplier"), "{e}");
+        }
     }
 
     #[test]

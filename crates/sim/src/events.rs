@@ -75,6 +75,21 @@ impl EventWheel {
         }
     }
 
+    /// Drop every scheduled event and re-anchor the wheel at `now`,
+    /// keeping the slot table and each slot's allocation for reuse.
+    pub(crate) fn reset(&mut self, now: u64) {
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.near[w * 64 + bits.trailing_zeros() as usize].clear();
+                bits &= bits - 1;
+            }
+        }
+        self.far.clear();
+        self.pending = 0;
+        self.now = now;
+    }
+
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.pending
@@ -311,6 +326,25 @@ mod tests {
         );
         assert_eq!(w.len(), 1);
         assert_eq!(w.next_due(), Some(5_000));
+    }
+
+    #[test]
+    fn reset_empties_and_reanchors() {
+        let mut w = EventWheel::new(0);
+        w.schedule(7, 1);
+        w.schedule(200, 2);
+        w.schedule(90_000, 3);
+        w.reset(5_000);
+        assert!(w.is_empty());
+        assert_eq!(w.now(), 5_000);
+        assert_eq!(w.next_due(), None);
+        // Slots used before the reset hold nothing stale afterwards.
+        w.schedule(5_007, 4);
+        w.schedule(5_200, 5);
+        let mut out = Vec::new();
+        w.pop_due(10_000, &mut out);
+        let got: Vec<(u64, u32)> = out.iter().map(|x| (x.cycle, x.token)).collect();
+        assert_eq!(got, vec![(5_007, 4), (5_200, 5)]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use ansmet_obs::{NoopSink, TraceSink};
 
 use crate::config::SystemConfig;
 use crate::design::{Design, DesignPlan};
-use crate::timing::{row_buffer_delta, run_ndp_batch, SubTask};
+use crate::timing::{row_buffer_delta, run_ndp_batch, BatchScratch, SubTask};
 use crate::workload::Workload;
 
 /// Result of a throughput run.
@@ -206,6 +206,8 @@ impl<'a> WaveContext<'a> {
         let mut req_base = 0u64;
         let mut clock = 0u64;
         let mut et_scratch = ansmet_core::EtScratch::new();
+        let mut batch = BatchScratch::new();
+        let mut subs: Vec<SubTask> = Vec::new();
         let mut retire = vec![0u64; query_ids.len()];
 
         loop {
@@ -224,7 +226,7 @@ impl<'a> WaveContext<'a> {
             // de-synchronized, so serial host work is charged at its mean.
             let mut host_serial_sum = 0u64;
             let mut upload_max = 0u64;
-            let mut subs: Vec<SubTask> = Vec::new();
+            subs.clear();
             for (pos, hop_idx) in cursors.iter_mut() {
                 let qi = query_ids[*pos];
                 let trace = &workload.traces[qi];
@@ -304,6 +306,7 @@ impl<'a> WaveContext<'a> {
                     t0,
                     &mut NoopSink,
                     t0,
+                    &mut batch,
                 )
                 .max(t0 + upload_max);
                 if let Some(s0) = stats_before {

@@ -11,7 +11,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use ansmet_core::{EtEngine, EtObserver};
-use ansmet_dram::{AccessKind, CommandKind, Location, MemorySystem, Port, Request};
+use ansmet_dram::{AccessKind, CommandKind, Location, MemorySystem, Port, Request, Response};
 use ansmet_host::CYCLES_PER_LINE;
 use ansmet_index::HopKind;
 use ansmet_ndp::qshr::QSHRS_PER_UNIT;
@@ -205,6 +205,62 @@ impl SubTask {
     }
 }
 
+/// Working storage of the event-wheel batch driver, reused from batch to
+/// batch so that a warm batch allocates nothing: the wheel is re-anchored,
+/// not rebuilt, and the queues and buffers keep their capacity. The caller
+/// owns it, one per query replay or wave execution, and each batch sizes
+/// it afresh from its memory system's rank count.
+#[derive(Debug)]
+pub(crate) struct BatchScratch {
+    /// Admitted sub-tasks per rank.
+    active_per_rank: Vec<usize>,
+    /// Unadmitted sub-tasks per rank, in ascending sub-index order (the
+    /// reference driver's admission scan order).
+    waiting: Vec<VecDeque<u32>>,
+    /// Sub-tasks ready to issue a fetch this cycle.
+    issuable: Vec<u32>,
+    /// Compute-gap expiries of admitted sub-tasks.
+    wheel: EventWheel,
+    due: Vec<Wakeup>,
+    /// Request id minus the batch's first id → sub index.
+    inflight: Vec<u32>,
+    /// `(sub index, QSHRs active after it)` admitted this cycle.
+    admitted_now: Vec<(u32, u32)>,
+    /// Responses drained from the memory system.
+    responses: Vec<Response>,
+}
+
+impl BatchScratch {
+    pub(crate) fn new() -> Self {
+        BatchScratch {
+            active_per_rank: Vec::new(),
+            waiting: Vec::new(),
+            issuable: Vec::new(),
+            wheel: EventWheel::new(0),
+            due: Vec::new(),
+            inflight: Vec::new(),
+            admitted_now: Vec::new(),
+            responses: Vec::new(),
+        }
+    }
+
+    /// Empty every buffer, size the per-rank state for `ranks` ranks and
+    /// anchor the wheel at `now`.
+    fn reset(&mut self, ranks: usize, now: u64) {
+        self.active_per_rank.clear();
+        self.active_per_rank.resize(ranks, 0);
+        self.waiting.truncate(ranks);
+        self.waiting.iter_mut().for_each(VecDeque::clear);
+        self.waiting.resize_with(ranks, VecDeque::new);
+        self.issuable.clear();
+        self.wheel.reset(now);
+        self.due.clear();
+        self.inflight.clear();
+        self.admitted_now.clear();
+        self.responses.clear();
+    }
+}
+
 /// Which driver advances time inside each NDP batch that [`run_design`]
 /// replays.
 ///
@@ -237,7 +293,8 @@ pub fn batch_driver() -> BatchDriver {
 }
 
 /// Executes the per-hop batch on the NDP units; returns the cycle when
-/// the last sub-task finished.
+/// the last sub-task finished. `scratch` is the event-wheel driver's
+/// reusable working storage.
 ///
 /// QSHR occupancy transitions (allocate on admission, free on
 /// completion) are reported to `sink` with event times rebased to
@@ -259,6 +316,7 @@ pub(crate) fn run_ndp_batch<S: TraceSink>(
     t0: u64,
     sink: &mut S,
     trace_base: u64,
+    scratch: &mut BatchScratch,
 ) -> u64 {
     #[cfg(feature = "dual-driver")]
     let reference = {
@@ -278,9 +336,16 @@ pub(crate) fn run_ndp_batch<S: TraceSink>(
     };
 
     let finish = match batch_driver() {
-        BatchDriver::Wheel => {
-            run_ndp_batch_wheel(mem, subs, qshrs_per_rank, req_base, t0, sink, trace_base)
-        }
+        BatchDriver::Wheel => run_ndp_batch_wheel(
+            mem,
+            subs,
+            qshrs_per_rank,
+            req_base,
+            t0,
+            sink,
+            trace_base,
+            scratch,
+        ),
         BatchDriver::Tick => {
             run_ndp_batch_tick(mem, subs, qshrs_per_rank, req_base, t0, sink, trace_base)
         }
@@ -329,6 +394,7 @@ fn run_ndp_batch_wheel<S: TraceSink>(
     t0: u64,
     sink: &mut S,
     trace_base: u64,
+    scratch: &mut BatchScratch,
 ) -> u64 {
     debug_assert!(mem.now() <= t0 || !mem.busy());
     if mem.now() < t0 {
@@ -342,11 +408,17 @@ fn run_ndp_batch_wheel<S: TraceSink>(
             s.finished_at = Some(t0);
         }
     }
-    let n_ranks_total = mem.config().total_ranks();
-    let mut active_per_rank = vec![0usize; n_ranks_total];
-    // Unadmitted sub-tasks per rank, in ascending sub-index order (the
-    // reference driver's admission scan order).
-    let mut waiting: Vec<VecDeque<u32>> = vec![VecDeque::new(); n_ranks_total];
+    scratch.reset(mem.config().total_ranks(), mem.now());
+    let BatchScratch {
+        active_per_rank,
+        waiting,
+        issuable,
+        wheel,
+        due,
+        inflight,
+        admitted_now,
+        responses,
+    } = scratch;
     let mut remaining = 0usize;
     for (i, s) in subs.iter().enumerate() {
         if s.finished_at.is_none() {
@@ -354,29 +426,21 @@ fn run_ndp_batch_wheel<S: TraceSink>(
             remaining += 1;
         }
     }
-    // Sub-tasks ready to issue a fetch this cycle (admitted, no
-    // outstanding request, compute gap elapsed). Queue-full failures
-    // stay and retry at the next cycle.
-    let mut issuable: Vec<u32> = Vec::new();
-    // Compute-gap expiries of admitted sub-tasks.
-    let mut wheel = EventWheel::new(mem.now());
-    let mut due: Vec<Wakeup> = Vec::new();
-    // Request id → sub index; batch ids are sequential, so a Vec indexed
-    // by `id - id_base` replaces the reference driver's hash map.
+    // `issuable` holds sub-tasks ready to issue a fetch this cycle
+    // (admitted, no outstanding request, compute gap elapsed); queue-full
+    // failures stay and retry at the next cycle. Batch request ids are
+    // sequential, so `inflight` indexed by `id - id_base` replaces the
+    // reference driver's hash map.
     let id_base = *req_base;
-    let mut inflight: Vec<u32> = Vec::new();
     // QSHR slots only free at completions, so the admission scan runs at
     // the first cycle and after any completion — never in between.
     let mut admit_scan = true;
-    let mut admitted_now: Vec<(u32, u32)> = Vec::new();
 
     while remaining > 0 {
         let now = mem.now();
         // Wake admitted sub-tasks whose compute gap elapsed.
-        wheel.pop_due(now, &mut due);
-        for w in &due {
-            issuable.push(w.token);
-        }
+        wheel.pop_due(now, due);
+        issuable.extend(due.iter().map(|w| w.token));
         if admit_scan {
             admit_scan = false;
             admitted_now.clear();
@@ -395,7 +459,7 @@ fn run_ndp_batch_wheel<S: TraceSink>(
             // matching the reference driver's single scan.
             admitted_now.sort_unstable();
             let at = trace_base + (now - t0);
-            for &(i, active) in &admitted_now {
+            for &(i, active) in admitted_now.iter() {
                 let s = &subs[i as usize];
                 sink.event(
                     at,
@@ -441,13 +505,13 @@ fn run_ndp_batch_wheel<S: TraceSink>(
         }
         mem.tick();
         let now = mem.now();
-        let responses = mem.take_completed();
+        mem.drain_completed(responses);
         if responses.is_empty() && !blocked {
             // Dead cycles until the DRAM model can act again or a compute
             // gap elapses — jump straight there.
             mem.skip_to_event(wheel.next_due().unwrap_or(u64::MAX));
         }
-        for resp in responses {
+        for resp in responses.drain(..) {
             let iu = inflight[(resp.id - id_base) as usize];
             let s = &mut subs[iu as usize];
             debug_assert_eq!(s.outstanding, Some(resp.id));
@@ -511,6 +575,7 @@ fn run_ndp_batch_tick<S: TraceSink>(
     let mut admitted: Vec<bool> = subs.iter().map(|s| s.finished_at.is_some()).collect();
     let mut inflight: HashMap<u64, usize> = HashMap::new();
     let mut remaining = subs.iter().filter(|s| s.finished_at.is_none()).count();
+    let mut responses = Vec::new();
 
     while remaining > 0 {
         let now = mem.now();
@@ -566,13 +631,13 @@ fn run_ndp_batch_tick<S: TraceSink>(
         }
         mem.tick();
         let now = mem.now();
-        let responses = mem.take_completed();
+        mem.drain_completed(&mut responses);
         if responses.is_empty() && !blocked {
             // Dead cycles until the DRAM model can act again or a compute
             // gap elapses — jump straight there.
             mem.skip_to_event(wake);
         }
-        for resp in responses {
+        for resp in responses.drain(..) {
             if let Some(&i) = inflight.get(&resp.id) {
                 inflight.remove(&resp.id);
                 let s = &mut subs[i];
@@ -1039,6 +1104,7 @@ fn run_query_sink<S: TraceSink>(
     let mut qs = QueryStats::default();
     let mut req_base: u64 = 0;
     let mut et_scratch = ansmet_core::EtScratch::new();
+    let mut batch = BatchScratch::new();
     // Running estimate of per-hop batch latency for adaptive polling,
     // seeded from the sampling-profile expectation and refined with an
     // exponential moving average of observed batches (the sampled
@@ -1242,6 +1308,7 @@ fn run_query_sink<S: TraceSink>(
                 t0,
                 sink,
                 att_batch,
+                &mut batch,
             );
             // The overlapped query upload may outlast the fetches.
             let mut upload_extra = 0;
@@ -1361,7 +1428,9 @@ fn run_query_sink<S: TraceSink>(
                         mem.advance_until_accept((base_line + l + 1) * 64, Port::Host);
                     }
                     mem.drain_all();
-                    mem.take_completed();
+                    // Only the drain's duration matters here.
+                    mem.drain_completed(&mut batch.responses);
+                    batch.responses.clear();
                     let drained = mem.now() - start;
                     let bw_floor = lines as u64 * contention;
                     clock += drained.max(bw_floor) + llc_mem;
