@@ -35,7 +35,7 @@ use ansmet_serve::{
     MaintenancePlan, ResilienceConfig, TenantSpec,
 };
 use ansmet_sim::experiment::Scale;
-use ansmet_sim::{saturated_capacity_qps, Design, SystemConfig, Workload};
+use ansmet_sim::{run_design_throughput, Design, SystemConfig, Workload};
 use ansmet_vecdata::{Dataset, SynthSpec};
 
 /// One instrumented half of the scenario, distilled.
@@ -137,7 +137,8 @@ fn serve_half(scale: Scale) -> (HalfOutcome, u64, u64, u64, MaintenancePlan) {
         Scale::Full => 300,
     };
 
-    let capacity = saturated_capacity_qps(&wl, &cfg, Design::NdpEtOpt);
+    let capacity =
+        run_design_throughput(Design::NdpEtOpt, &wl, &cfg, wl.traces.len()).qps(mem_clock);
     let per_query = (mem_clock as f64 * 1e6 / capacity.max(1e-9)) as u64;
     let slo_cycles = per_query * 32;
     let base = ops_serve_config(0x0B5E, capacity, queries, slo_cycles);

@@ -19,7 +19,6 @@
 use std::collections::VecDeque;
 
 use ansmet_faults::{FaultInjector, FaultPlan, FaultRates, StormPlan};
-use ansmet_ndp::Partitioner;
 use ansmet_obs::{EventKind, LatencyHistogram, NoopSink, Phase, TraceSink};
 use ansmet_sim::{Design, EventWheel, SystemConfig, WaveContext, Workload};
 
@@ -264,12 +263,7 @@ pub fn run_serve_with_sink<S: TraceSink>(
         mem_clock,
     );
     let ctx = WaveContext::new(serve.design, workload, config);
-    let partitioner = Partitioner::new(
-        config.partition,
-        config.ndp_units(),
-        workload.data.dim(),
-        workload.data.dtype().bytes(),
-    );
+    let partitioner = ctx.partitioner();
 
     let make_injector = |f: &FaultProfile| {
         let evals: u64 = workload
@@ -293,7 +287,7 @@ pub fn run_serve_with_sink<S: TraceSink>(
     let fleet_layer = serve.storm.is_some() || serve.resilience.is_some();
     let mut fleet = (fleet_layer || serve.faults.is_some()).then(|| {
         FleetState::new(
-            &partitioner,
+            partitioner,
             workload.data.vector_lines() as u64,
             serve.faults.as_ref().map(make_injector),
             serve.storm.clone().unwrap_or_else(StormPlan::none),
@@ -491,7 +485,7 @@ pub fn run_serve_with_sink<S: TraceSink>(
             Some(fl) => batch
                 .iter()
                 .map(|q| {
-                    let p = fl.query_penalty(workload, q.arrival.query, &partitioner, now, sink);
+                    let p = fl.query_penalty(workload, q.arrival.query, partitioner, now, sink);
                     max_penalty = max_penalty.max(p);
                     p
                 })

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use ansmet_faults::{FaultRates, StormPlan};
 use ansmet_sim::experiment::Scale;
-use ansmet_sim::{saturated_capacity_qps, Design, SystemConfig, Workload};
+use ansmet_sim::{run_design_throughput, Design, SystemConfig, Workload};
 use ansmet_vecdata::SynthSpec;
 
 use crate::arrival::{generate_arrivals, ArrivalProcess, TenantSpec};
@@ -89,7 +89,8 @@ pub fn serve_experiment(scale: Scale) -> (String, String) {
         Scale::Full => 400,
     };
 
-    let capacity = saturated_capacity_qps(&wl, &cfg, Design::NdpEtOpt);
+    let capacity =
+        run_design_throughput(Design::NdpEtOpt, &wl, &cfg, wl.traces.len()).qps(mem_clock);
     // SLO: generous multiple of the saturated per-query service time so
     // a healthy run attains it and queueing/faults measurably erode it.
     let per_query = (mem_clock as f64 * 1e6 / capacity.max(1e-9)) as u64;
@@ -223,7 +224,8 @@ pub fn resilience_experiment(scale: Scale) -> (String, String) {
         Scale::Full => 300,
     };
 
-    let capacity = saturated_capacity_qps(&wl, &cfg, Design::NdpEtOpt);
+    let capacity =
+        run_design_throughput(Design::NdpEtOpt, &wl, &cfg, wl.traces.len()).qps(mem_clock);
     let per_query = (mem_clock as f64 * 1e6 / capacity.max(1e-9)) as u64;
     let slo_cycles = per_query * 32;
     let mut base = experiment_config(0xC1A0, capacity, queries, slo_cycles);

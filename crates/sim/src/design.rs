@@ -193,8 +193,6 @@ fn pick_measured(workload: &Workload, layout_dim: usize, candidates: [EtConfig; 
     use ansmet_core::EtEngine;
     let data = &workload.data;
     let dim = data.dim();
-    let frac = layout_dim.min(dim) as f32 / dim as f32;
-    let range = 0..layout_dim.min(dim);
     // A small slice of real comparisons: the synthetic datasets'
     // pairwise-distance percentile underestimates search-time thresholds,
     // so candidates are validated in the regime they will actually run in
@@ -217,7 +215,6 @@ fn pick_measured(workload: &Workload, layout_dim: usize, candidates: [EtConfig; 
             .filter(|r| !r.is_empty())
             .collect()
     };
-    let _ = (frac, range);
     let mut best = None;
     let mut best_cost = u64::MAX;
     let mut scratch = ansmet_core::EtScratch::new();
@@ -225,13 +222,14 @@ fn pick_measured(workload: &Workload, layout_dim: usize, candidates: [EtConfig; 
         let engine = EtEngine::new(data, cfg.clone());
         let mut cost = 0u64;
         for &(qi, vid, thr) in &probes {
-            let m = crate::etplan::evaluate_chunked(
+            let m = crate::etplan::evaluate_chunked_obs(
                 &engine,
                 vid,
                 &workload.queries[qi],
                 &chunks,
                 thr,
                 &mut scratch,
+                &mut ansmet_core::NoopEtObserver,
             );
             cost += m.total_lines() as u64;
         }

@@ -4,7 +4,7 @@
 //! exact accuracy (§5.3). Used by the timing replay and by the empirical
 //! layout selection so both see identical fetch behavior.
 
-use ansmet_core::{EtEngine, EtObserver, EtScratch, NoopEtObserver};
+use ansmet_core::{EtEngine, EtObserver, EtScratch};
 
 /// Per-chunk line counts and the sound rejection verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,32 +32,9 @@ impl MultiEval {
 /// Each chunk terminates locally against `threshold × |chunk| / dim`; the
 /// summed bounds decide rejection soundly. Chunks whose local bound
 /// stopped short resume once with the residual threshold slack; a
-/// numerical corner case falls back to the full fetch.
-///
-/// # Panics
-///
-/// Panics if chunks are empty or out of range.
-pub fn evaluate_chunked(
-    engine: &EtEngine<'_>,
-    id: usize,
-    query: &[f32],
-    chunks: &[std::ops::Range<usize>],
-    threshold: f32,
-    scratch: &mut EtScratch,
-) -> MultiEval {
-    evaluate_chunked_obs(
-        engine,
-        id,
-        query,
-        chunks,
-        threshold,
-        scratch,
-        &mut NoopEtObserver,
-    )
-}
-
-/// [`evaluate_chunked`] reporting per-chunk termination outcomes to
-/// `obs` (see [`EtObserver`]). The observer never affects the result.
+/// numerical corner case falls back to the full fetch. Per-chunk
+/// termination outcomes are reported to `obs` (see [`EtObserver`]); the
+/// observer never affects the result.
 ///
 /// # Panics
 ///
@@ -146,7 +123,7 @@ pub fn evaluate_chunked_obs<O: EtObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ansmet_core::{EtConfig, FetchSchedule};
+    use ansmet_core::{EtConfig, FetchSchedule, NoopEtObserver};
     use ansmet_vecdata::SynthSpec;
 
     #[test]
@@ -161,7 +138,15 @@ mod tests {
         for q in &queries {
             for id in 0..40 {
                 let d = data.distance_to(id, q);
-                let m = evaluate_chunked(&engine, id, q, &chunks, d * 0.7, &mut scratch);
+                let m = evaluate_chunked_obs(
+                    &engine,
+                    id,
+                    q,
+                    &chunks,
+                    d * 0.7,
+                    &mut scratch,
+                    &mut NoopEtObserver,
+                );
                 if m.pruned {
                     assert!(d >= d * 0.7);
                 } else {
@@ -187,13 +172,14 @@ mod tests {
         #[allow(clippy::single_range_in_vec_init)] // one whole-vector chunk is the point
         let chunks = [0..dim];
         let mut scratch = EtScratch::new();
-        let m = evaluate_chunked(
+        let m = evaluate_chunked_obs(
             &engine,
             5,
             &queries[0],
             &chunks,
             f32::INFINITY,
             &mut scratch,
+            &mut NoopEtObserver,
         );
         let c = engine.evaluate(5, &queries[0], f32::INFINITY);
         assert_eq!(m.lines[0], c.lines);
@@ -214,7 +200,15 @@ mod tests {
         let mut scratch = EtScratch::new();
         for id in 0..60 {
             let d = data.distance_to(id, q);
-            let m = evaluate_chunked(&engine, id, q, &chunks, d * 0.5, &mut scratch);
+            let m = evaluate_chunked_obs(
+                &engine,
+                id,
+                q,
+                &chunks,
+                d * 0.5,
+                &mut scratch,
+                &mut NoopEtObserver,
+            );
             if m.pruned && m.total_lines() < full {
                 saved = true;
             }

@@ -49,9 +49,7 @@ pub use events::{EventWheel, Wakeup};
 pub use parallel::{
     cycles_simulated, cycles_skipped, default_threads, queries_simulated, set_default_threads,
 };
-pub use throughput::{
-    run_design_throughput, saturated_capacity_qps, BatchExecution, ThroughputResult, WaveContext,
-};
+pub use throughput::{run_design_throughput, BatchExecution, ThroughputResult, WaveContext};
 pub use timing::{
     batch_driver, run_design, run_design_shared, run_design_traced, set_batch_driver, BatchDriver,
     QueryBreakdown, RunResult, TraceOptions,

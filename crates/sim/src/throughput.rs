@@ -15,16 +15,16 @@
 
 use std::collections::HashSet;
 
-use ansmet_core::EtEngine;
+use ansmet_core::NoopEtObserver;
 use ansmet_dram::MemorySystem;
 use ansmet_index::HopKind;
-use ansmet_ndp::{LoadTracker, Partitioner, ReplicaSet};
+use ansmet_ndp::{LoadTracker, Partitioner};
 
 use ansmet_obs::{NoopSink, TraceSink};
 
 use crate::config::SystemConfig;
-use crate::design::{Design, DesignPlan};
-use crate::timing::{row_buffer_delta, run_ndp_batch, BatchScratch, SubTask};
+use crate::design::Design;
+use crate::timing::{row_buffer_delta, run_ndp_batch, BatchScratch, PlanScratch, RunPrep, SubTask};
 use crate::workload::Workload;
 
 /// Result of a throughput run.
@@ -50,10 +50,10 @@ impl ThroughputResult {
 
 /// Cycle accounting for one executed wave batch.
 ///
-/// Returned by [`WaveContext::execute`]: `total_cycles` is how long the
-/// batch occupied the NDP device, and `per_query_cycles[i]` is the cycle
-/// (relative to batch start) at which the `i`-th query of the batch
-/// retired — its last hop's wave closed and its results were polled.
+/// Returned by [`WaveContext::execute_with_sink`]: `total_cycles` is how
+/// long the batch occupied the NDP device, and `per_query_cycles[i]` is
+/// the cycle (relative to batch start) at which the `i`-th query of the
+/// batch retired — its last hop's wave closed and its results were polled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchExecution {
     /// Device-occupancy cycles for the whole batch.
@@ -68,22 +68,15 @@ pub struct BatchExecution {
 /// The offline throughput experiment runs one big batch over the whole
 /// workload; the online serving layer (`ansmet-serve`) forms small
 /// dynamic batches from queued arrivals and executes each through
-/// [`WaveContext::execute`]. Each execution replays the batch on fresh
-/// memory/NDP state, so a batch's cost depends only on its member
+/// [`WaveContext::execute_with_sink`]. Each execution replays the batch on
+/// fresh memory/NDP state, so a batch's cost depends only on its member
 /// queries — never on what the device ran before. That independence is
 /// the serving determinism contract.
+///
+/// The context is the latency replay's prep: both executors plan every
+/// comparison through the same planner and differ only in what they charge.
 pub struct WaveContext<'a> {
-    design: Design,
-    workload: &'a Workload,
-    config: &'a SystemConfig,
-    partitioner: Partitioner,
-    engine: Option<EtEngine<'a>>,
-    replicas: ReplicaSet,
-    natural_lines: usize,
-    full_lines: usize,
-    ndp_compute_delay: u64,
-    query_bytes: usize,
-    elem_bytes: usize,
+    prep: RunPrep<'a>,
 }
 
 impl<'a> WaveContext<'a> {
@@ -95,69 +88,30 @@ impl<'a> WaveContext<'a> {
     /// result, already contention-modeled).
     pub fn new(design: Design, workload: &'a Workload, config: &'a SystemConfig) -> Self {
         assert!(design.is_ndp(), "throughput waves model the NDP designs");
-        let data = &workload.data;
-        let dim = data.dim();
-        let elem_bytes = data.dtype().bytes();
-        let partitioner = Partitioner::new(config.partition, config.ndp_units(), dim, elem_bytes);
-        let layout_dim = partitioner.dims_per_subvector();
-        let plan = DesignPlan::build_for_layout(design, workload, layout_dim);
-        let engine = plan
-            .et
-            .as_ref()
-            .map(|et| EtEngine::new(&workload.data, et.clone()));
-        let natural_lines = data.vector_lines();
-        let full_lines = engine
-            .as_ref()
-            .map(|e| e.full_lines())
-            .unwrap_or(natural_lines);
-        let replicas = if config.replicate_hot {
-            ReplicaSet::new(workload.hot_ids())
-        } else {
-            ReplicaSet::new([])
-        };
-        let ndp_compute_delay = config
-            .compute
-            .to_mem_cycles(config.compute.reduce_cycles, config.dram.clock_mhz)
-            .max(1);
         WaveContext {
-            design,
-            workload,
-            config,
-            partitioner,
-            engine,
-            replicas,
-            natural_lines,
-            full_lines,
-            ndp_compute_delay,
-            query_bytes: (dim * elem_bytes).min(1024),
-            elem_bytes,
+            prep: RunPrep::new(design, workload, config),
         }
     }
 
-    /// The design this context executes.
-    pub fn design(&self) -> Design {
-        self.design
+    /// How the vectors are spread over the ranks.
+    pub fn partitioner(&self) -> &Partitioner {
+        &self.prep.partitioner
     }
 
     /// Execute the queries named by `query_ids` (indices into the
     /// workload's trace list) as one cohort of lock-step waves on fresh
     /// device state, all in flight together from cycle 0.
     ///
+    /// A [`TraceSink`] rides along: per-wave DRAM row-buffer outcome
+    /// deltas are emitted as [`RowBuffer`](ansmet_obs::EventKind::RowBuffer)
+    /// events rebased to `base_cycle` (the caller's serving-clock dispatch
+    /// cycle). The sink observes, never steers: the result is the same for
+    /// every sink, and snapshot work is skipped entirely when the sink is
+    /// disabled.
+    ///
     /// # Panics
     ///
     /// Panics if `query_ids` is empty or any index is out of range.
-    pub fn execute(&self, query_ids: &[usize]) -> BatchExecution {
-        assert!(!query_ids.is_empty(), "empty batch");
-        self.execute_streams(query_ids, query_ids.len())
-    }
-
-    /// [`execute`](WaveContext::execute) with a [`TraceSink`] riding
-    /// along: per-wave DRAM row-buffer outcome deltas are emitted as
-    /// [`RowBuffer`](ansmet_obs::EventKind::RowBuffer) events rebased to
-    /// `base_cycle` (the caller's serving-clock dispatch cycle). The
-    /// sink observes, never steers: with [`NoopSink`] this is
-    /// bit-identical to [`execute`](WaveContext::execute), and snapshot
-    /// work is skipped entirely when the sink is disabled.
     pub fn execute_with_sink<S: TraceSink>(
         &self,
         query_ids: &[usize],
@@ -165,17 +119,12 @@ impl<'a> WaveContext<'a> {
         base_cycle: u64,
     ) -> BatchExecution {
         assert!(!query_ids.is_empty(), "empty batch");
-        self.execute_streams_sink(query_ids, query_ids.len(), sink, base_cycle)
+        self.execute_streams(query_ids, query_ids.len(), sink, base_cycle)
     }
 
     /// Execute `query_ids` with at most `streams` in flight at once;
     /// finished streams refill from the remaining ids in order.
-    pub fn execute_streams(&self, query_ids: &[usize], streams: usize) -> BatchExecution {
-        self.execute_streams_sink(query_ids, streams, &mut NoopSink, 0)
-    }
-
-    /// [`execute_streams`](WaveContext::execute_streams) with a sink.
-    fn execute_streams_sink<S: TraceSink>(
+    fn execute_streams<S: TraceSink>(
         &self,
         query_ids: &[usize],
         streams: usize,
@@ -183,20 +132,13 @@ impl<'a> WaveContext<'a> {
         base_cycle: u64,
     ) -> BatchExecution {
         assert!(streams > 0, "need at least one stream");
-        let workload = self.workload;
-        let config = self.config;
+        let prep = &self.prep;
+        let workload = prep.workload;
+        let config = prep.config;
         let mem_clock = config.dram.clock_mhz;
         let cpu = &config.cpu;
-        let partitioner = &self.partitioner;
-        let engine = &self.engine;
-        let replicas = &self.replicas;
-        let natural_lines = self.natural_lines;
-        let full_lines = self.full_lines;
-        let ndp_compute_delay = self.ndp_compute_delay;
-        let query_bytes = self.query_bytes;
-        let elem_bytes = self.elem_bytes;
 
-        let mut loads = LoadTracker::new(config.ndp_units(), partitioner.group_size());
+        let mut loads = LoadTracker::new(config.ndp_units(), prep.partitioner.group_size());
         let mut mem = MemorySystem::new(config.dram.clone());
 
         // Stream cursors: (position in `query_ids`, hop index).
@@ -205,7 +147,7 @@ impl<'a> WaveContext<'a> {
         let mut uploaded: HashSet<(usize, usize)> = HashSet::new();
         let mut req_base = 0u64;
         let mut clock = 0u64;
-        let mut et_scratch = ansmet_core::EtScratch::new();
+        let mut plan_scratch = PlanScratch::default();
         let mut batch = BatchScratch::new();
         let mut subs: Vec<SubTask> = Vec::new();
         let mut retire = vec![0u64; query_ids.len()];
@@ -236,50 +178,21 @@ impl<'a> WaveContext<'a> {
                 let mut host = cpu.hop_cycles(hop.evals.len(), accepted);
                 let mut upload = 0u64;
                 if hop.kind == HopKind::Centroid {
-                    host += cpu.distance_compute_cycles(natural_lines) * hop.evals.len() as u64;
+                    host +=
+                        cpu.distance_compute_cycles(prep.natural_lines) * hop.evals.len() as u64;
                 } else {
                     for e in &hop.evals {
-                        let placements = if replicas.contains(e.id) {
-                            partitioner.placement_in_group(e.id, loads.least_loaded_group())
-                        } else {
-                            partitioner.placement(e.id)
-                        };
-                        let chunks: Vec<std::ops::Range<usize>> =
-                            placements.iter().map(|p| p.dims.clone()).collect();
-                        let (lines, backup): (Vec<usize>, usize) = match &engine {
-                            None => (
-                                placements
-                                    .iter()
-                                    .map(|p| (p.dims.len() * elem_bytes).div_ceil(64))
-                                    .collect(),
-                                0,
-                            ),
-                            Some(eng) => {
-                                let m = crate::etplan::evaluate_chunked(
-                                    eng,
-                                    e.id,
-                                    query,
-                                    &chunks,
-                                    e.threshold,
-                                    &mut et_scratch,
-                                );
-                                (m.lines, m.backup_lines)
-                            }
-                        };
-                        for (pi, (p, l)) in placements.iter().zip(&lines).enumerate() {
-                            let rank = p.rank;
-                            loads.add(rank, *l as u64);
-                            let base = (e.id as u64)
-                                * (full_lines as u64 + natural_lines as u64 + 2)
-                                + pi as u64;
-                            subs.push(SubTask::new(
-                                rank,
-                                l + if pi == 0 { backup } else { 0 },
-                                base,
-                                ndp_compute_delay,
-                            ));
+                        let p = prep.plan_eval(
+                            e,
+                            query,
+                            &mut loads,
+                            &mut plan_scratch,
+                            &mut NoopEtObserver,
+                        );
+                        prep.push_subtasks(&p, &mut subs);
+                        for (rank, _) in p.rank_lines() {
                             if uploaded.insert((*pos, rank)) {
-                                upload += cpu.query_upload_cycles(query_bytes);
+                                upload += cpu.query_upload_cycles(prep.query_bytes);
                             }
                         }
                     }
@@ -344,18 +257,6 @@ impl<'a> WaveContext<'a> {
     }
 }
 
-/// Estimate device capacity (QPS) by executing the whole workload as one
-/// saturated cohort through the wave model. The serving and resilience
-/// experiments use this to place their offered load relative to what the
-/// device can actually sustain.
-pub fn saturated_capacity_qps(workload: &Workload, config: &SystemConfig, design: Design) -> f64 {
-    let ctx = WaveContext::new(design, workload, config);
-    let ids: Vec<usize> = (0..workload.traces.len()).collect();
-    let exec = ctx.execute(&ids);
-    let secs = exec.total_cycles as f64 / (config.dram.clock_mhz as f64 * 1e6);
-    ids.len() as f64 / secs.max(1e-12)
-}
-
 /// Run `design` over `workload` with up to `streams` concurrent query
 /// streams (NDP designs only).
 ///
@@ -372,7 +273,7 @@ pub fn run_design_throughput(
     let ctx = WaveContext::new(design, workload, config);
     let n_queries = workload.traces.len();
     let ids: Vec<usize> = (0..n_queries).collect();
-    let exec = ctx.execute_streams(&ids, streams);
+    let exec = ctx.execute_streams(&ids, streams, &mut NoopSink, 0);
     ThroughputResult {
         design,
         total_cycles: exec.total_cycles,

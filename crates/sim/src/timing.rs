@@ -8,15 +8,17 @@
 //! All data movement goes through the cycle-accurate DDR5 simulator.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
-use ansmet_core::{EtEngine, EtObserver};
+use ansmet_core::{EtEngine, EtObserver, EtScratch};
 use ansmet_dram::{AccessKind, CommandKind, Location, MemorySystem, Port, Request, Response};
 use ansmet_host::CYCLES_PER_LINE;
-use ansmet_index::HopKind;
+use ansmet_index::{Eval, HopKind};
 use ansmet_ndp::qshr::QSHRS_PER_UNIT;
 use ansmet_ndp::{
-    LoadTracker, Partitioner, PollingPolicy, PollingStats, ReplicaSet, CONVENTIONAL_POLL_PERIOD,
+    LoadTracker, Partitioner, Placement, PollingPolicy, PollingStats, ReplicaSet,
+    CONVENTIONAL_POLL_PERIOD,
 };
 use ansmet_obs::{
     DramCommandKind, EventKind, FlightRecorder, NoopSink, Phase, QueryRecorder, RecorderConfig,
@@ -25,6 +27,7 @@ use ansmet_obs::{
 
 use crate::config::SystemConfig;
 use crate::design::{Design, DesignPlan};
+use crate::etplan::{evaluate_chunked_obs, MultiEval};
 use crate::events::{EventWheel, Wakeup};
 use crate::workload::Workload;
 
@@ -192,7 +195,7 @@ pub(crate) struct SubTask {
 impl SubTask {
     /// Create a sub-task fetching `lines` 64 B lines from `rank`
     /// starting at rank-local line index `base`.
-    pub(crate) fn new(rank: usize, lines: usize, base: u64, compute_delay: u64) -> Self {
+    fn new(rank: usize, lines: usize, base: u64, compute_delay: u64) -> Self {
         SubTask {
             rank,
             lines_left: lines,
@@ -669,25 +672,55 @@ fn run_ndp_batch_tick<S: TraceSink>(
     finish_max
 }
 
-/// Immutable per-run state shared (read-only) by all worker threads.
-struct RunPrep<'a> {
+/// Immutable per-`(design, workload, config)` state, shared read-only by
+/// the latency replay's worker threads and by the wave executor
+/// ([`WaveContext`](crate::WaveContext)).
+pub(crate) struct RunPrep<'a> {
     design: Design,
-    workload: &'a Workload,
-    config: &'a SystemConfig,
-    partitioner: Partitioner,
+    pub(crate) workload: &'a Workload,
+    pub(crate) config: &'a SystemConfig,
+    pub(crate) partitioner: Partitioner,
     engine: Option<EtEngine<'a>>,
     replicas: ReplicaSet,
     polling: PollingPolicy,
-    natural_lines: usize,
+    pub(crate) natural_lines: usize,
     full_lines: usize,
     ndp_compute_delay: u64,
-    query_bytes: usize,
+    pub(crate) query_bytes: usize,
     elem_bytes: usize,
-    mem_clock: u64,
+}
+
+/// One comparison planned onto its placements by [`RunPrep::plan_eval`].
+pub(crate) struct PlannedEval {
+    id: usize,
+    /// Where the vector lives. A CPU design evaluates the whole vector at
+    /// the first placement, so only that one carries lines.
+    placements: Vec<Placement>,
+    /// Lines per evaluated placement; the first placement fetches the
+    /// backup lines.
+    eval: MultiEval,
+}
+
+impl PlannedEval {
+    /// `(rank, lines)` per evaluated placement, in placement order.
+    pub(crate) fn rank_lines(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.placements
+            .iter()
+            .map(|p| p.rank)
+            .zip(self.eval.lines.iter().copied())
+    }
+}
+
+/// Working storage of [`RunPrep::plan_eval`], reused from comparison to
+/// comparison by one query replay or wave execution.
+#[derive(Default)]
+pub(crate) struct PlanScratch {
+    et: EtScratch,
+    chunks: Vec<Range<usize>>,
 }
 
 impl<'a> RunPrep<'a> {
-    fn new(design: Design, workload: &'a Workload, config: &'a SystemConfig) -> Self {
+    pub(crate) fn new(design: Design, workload: &'a Workload, config: &'a SystemConfig) -> Self {
         let data = &workload.data;
         let dim = data.dim();
         let elem_bytes = data.dtype().bytes();
@@ -752,7 +785,80 @@ impl<'a> RunPrep<'a> {
             ndp_compute_delay,
             query_bytes: (dim * elem_bytes).min(1024),
             elem_bytes,
-            mem_clock,
+        }
+    }
+
+    /// Plan comparison `e` against `query`: place the vector (a replicated
+    /// vector goes to the least-loaded rank group), evaluate early
+    /// termination per placement and add each placement's lines to
+    /// `loads`. NDP designs evaluate each sub-vector against its threshold
+    /// share ([`crate::etplan`]); CPU designs evaluate the whole vector at
+    /// the first placement's rank. `obs` sees the ET outcomes.
+    pub(crate) fn plan_eval<O: EtObserver>(
+        &self,
+        e: &Eval,
+        query: &[f32],
+        loads: &mut LoadTracker,
+        scratch: &mut PlanScratch,
+        obs: &mut O,
+    ) -> PlannedEval {
+        let placements = if self.replicas.contains(e.id) {
+            self.partitioner
+                .placement_in_group(e.id, loads.least_loaded_group())
+        } else {
+            self.partitioner.placement(e.id)
+        };
+        let chunks = &mut scratch.chunks;
+        chunks.clear();
+        if self.design.is_ndp() {
+            chunks.extend(placements.iter().map(|p| p.dims.clone()));
+        } else {
+            chunks.push(0..self.workload.data.dim());
+        }
+        let eval = match &self.engine {
+            Some(eng) => {
+                evaluate_chunked_obs(eng, e.id, query, chunks, e.threshold, &mut scratch.et, obs)
+            }
+            None => MultiEval {
+                lines: chunks
+                    .iter()
+                    .map(|c| (c.len() * self.elem_bytes).div_ceil(64))
+                    .collect(),
+                backup_lines: 0,
+                pruned: false,
+                resumed: false,
+            },
+        };
+        let p = PlannedEval {
+            id: e.id,
+            placements,
+            eval,
+        };
+        for (rank, l) in p.rank_lines() {
+            loads.add(rank, l as u64);
+        }
+        p
+    }
+
+    /// First line of vector `id`'s fetch region. Regions are far enough
+    /// apart that no two vectors' fetches share a line.
+    fn line_base(&self, id: usize) -> u64 {
+        id as u64 * (self.full_lines as u64 + self.natural_lines as u64 + 2)
+    }
+
+    /// Append one NDP sub-task per placement of `p`; placement `i` starts
+    /// `i` lines into the vector's region, and the first placement also
+    /// fetches the backup lines.
+    pub(crate) fn push_subtasks(&self, p: &PlannedEval, subs: &mut Vec<SubTask>) {
+        let base = self.line_base(p.id);
+        for (pi, (rank, lines)) in p.rank_lines().enumerate() {
+            let backup = if pi == 0 { p.eval.backup_lines } else { 0 };
+            subs.push(SubTask::new(
+                rank,
+                lines + backup,
+                base + pi as u64,
+                self.ndp_compute_delay,
+            ));
         }
     }
 }
@@ -894,9 +1000,9 @@ pub fn run_design(design: Design, workload: &Workload, config: &SystemConfig) ->
 /// cache and are immutable behind the `Arc` — and the config by its
 /// `Debug` rendering.
 ///
-/// Hits still count toward [`crate::parallel::queries_simulated`] (the
-/// queries were logically replayed) but add no DRAM tick/skip cycles
-/// (no simulation actually ran).
+/// A hit replays nothing, so it adds neither to
+/// [`crate::parallel::queries_simulated`] nor to the DRAM tick/skip
+/// counters.
 pub fn run_design_shared(
     design: Design,
     workload: &std::sync::Arc<Workload>,
@@ -912,7 +1018,6 @@ pub fn run_design_shared(
     );
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(r) = cache.lock().expect("run cache poisoned").get(&key) {
-        crate::parallel::record_queries(workload.traces.len() as u64);
         return r.clone();
     }
     let r = run_design(design, workload, config);
@@ -1084,15 +1189,9 @@ fn run_query_sink<S: TraceSink>(
     let workload = prep.workload;
     let design = prep.design;
     let cpu = &config.cpu;
-    let mem_clock = prep.mem_clock;
-    let engine = &prep.engine;
+    let mem_clock = config.dram.clock_mhz;
     let natural_lines = prep.natural_lines;
-    let full_lines = prep.full_lines;
-    let ndp_compute_delay = prep.ndp_compute_delay;
     let query_bytes = prep.query_bytes;
-    let elem_bytes = prep.elem_bytes;
-    let partitioner = &prep.partitioner;
-    let replicas = &prep.replicas;
     let polling = &prep.polling;
 
     let mut mem = MemorySystem::new(config.dram.clone());
@@ -1100,10 +1199,10 @@ fn run_query_sink<S: TraceSink>(
     if trace_dram {
         mem.enable_command_trace();
     }
-    let mut loads = LoadTracker::new(config.ndp_units(), partitioner.group_size());
+    let mut loads = LoadTracker::new(config.ndp_units(), prep.partitioner.group_size());
     let mut qs = QueryStats::default();
     let mut req_base: u64 = 0;
-    let mut et_scratch = ansmet_core::EtScratch::new();
+    let mut plan_scratch = PlanScratch::default();
     let mut batch = BatchScratch::new();
     // Running estimate of per-hop batch latency for adaptive polling,
     // seeded from the sampling-profile expectation and refined with an
@@ -1122,7 +1221,7 @@ fn run_query_sink<S: TraceSink>(
     let mut att: u64 = 0;
     let mut uploaded = vec![false; config.ndp_units()];
 
-    if let Some(eng) = engine {
+    if let Some(eng) = &prep.engine {
         sink.event(
             0,
             EventKind::EtPlan {
@@ -1156,105 +1255,36 @@ fn run_query_sink<S: TraceSink>(
             continue;
         }
 
-        // Per-eval fetch plans.
-        struct EvalPlanned {
-            id: usize,
-            lines_by_placement: Vec<(usize, usize)>, // (rank, lines)
-            backup: usize,
-        }
-        let mut planned: Vec<EvalPlanned> = Vec::with_capacity(hop.evals.len());
+        let mut planned: Vec<PlannedEval> = Vec::with_capacity(hop.evals.len());
         let mut resumed = false;
         for e in &hop.evals {
-            let placements = if replicas.contains(e.id) {
-                partitioner.placement_in_group(e.id, loads.least_loaded_group())
-            } else {
-                partitioner.placement(e.id)
+            let mut ob = SinkEtObserver {
+                sink: &mut *sink,
+                cycle: att,
             };
-            let mut lines_by_placement = Vec::with_capacity(placements.len());
-            let mut backup = 0usize;
-            let mut pruned = false;
-            if placements.len() == 1 || !design.is_ndp() {
-                // Whole vector evaluated in one place (CPU designs
-                // always see the whole vector).
-                let (lines, bk, pr) = match &engine {
-                    None => (natural_lines, 0, false),
-                    Some(eng) => {
-                        let mut ob = SinkEtObserver {
-                            sink: &mut *sink,
-                            cycle: att,
-                        };
-                        let c =
-                            eng.evaluate_obs(e.id, query, e.threshold, &mut et_scratch, &mut ob);
-                        (c.lines, c.backup_lines, c.pruned)
-                    }
-                };
-                pruned = pr;
-                backup = bk;
-                let rank = placements[0].rank;
-                lines_by_placement.push((rank, lines));
-            } else {
-                // Vertical sub-vectors: local ET with proportional
-                // threshold shares, aggregated soundly by the host
-                // (see `etplan`).
-                match &engine {
-                    None => {
-                        for p in &placements {
-                            let lines = (p.dims.len() * elem_bytes).div_ceil(64);
-                            lines_by_placement.push((p.rank, lines));
-                        }
-                    }
-                    Some(eng) => {
-                        let chunks: Vec<std::ops::Range<usize>> =
-                            placements.iter().map(|p| p.dims.clone()).collect();
-                        let mut ob = SinkEtObserver {
-                            sink: &mut *sink,
-                            cycle: att,
-                        };
-                        let m = crate::etplan::evaluate_chunked_obs(
-                            eng,
-                            e.id,
-                            query,
-                            &chunks,
-                            e.threshold,
-                            &mut et_scratch,
-                            &mut ob,
-                        );
-                        pruned = m.pruned;
-                        backup = m.backup_lines;
-                        resumed |= m.resumed;
-                        for (p, l) in placements.iter().zip(&m.lines) {
-                            lines_by_placement.push((p.rank, *l));
-                        }
-                    }
-                }
-            }
-            let total: usize = lines_by_placement.iter().map(|&(_, l)| l).sum::<usize>() + backup;
+            let p = prep.plan_eval(e, query, &mut loads, &mut plan_scratch, &mut ob);
+            let m = &p.eval;
+            let total = m.total_lines();
             if e.accepted {
-                qs.effectual_lines += (total - backup) as u64;
+                qs.effectual_lines += (total - m.backup_lines) as u64;
             } else {
-                qs.ineffectual_lines += (total - backup) as u64;
+                qs.ineffectual_lines += (total - m.backup_lines) as u64;
             }
-            qs.backup_lines += backup as u64;
+            qs.backup_lines += m.backup_lines as u64;
             qs.total_evals += 1;
-            if pruned {
+            if m.pruned {
                 qs.pruned_evals += 1;
             }
             qs.ndp_compute_lines += total as u64;
-            for &(rank, lines) in &lines_by_placement {
-                loads.add(rank, lines as u64);
-            }
-            planned.push(EvalPlanned {
-                id: e.id,
-                lines_by_placement,
-                backup,
-            });
+            resumed |= m.resumed;
+            planned.push(p);
         }
         if design.is_ndp() {
             // Offload: upload query to first-touched ranks, then
             // set-search writes (≤ 8 tasks each).
             let mut tasks_per_rank: HashMap<usize, usize> = HashMap::new();
             for p in &planned {
-                for &(rank, _) in &p.lines_by_placement {
+                for (rank, _) in p.rank_lines() {
                     *tasks_per_rank.entry(rank).or_insert(0) += 1;
                 }
             }
@@ -1280,16 +1310,7 @@ fn run_query_sink<S: TraceSink>(
             // Build sub-tasks and execute.
             let mut subs: Vec<SubTask> = Vec::new();
             for p in &planned {
-                for (pi, &(rank, lines)) in p.lines_by_placement.iter().enumerate() {
-                    let base =
-                        (p.id as u64) * (full_lines as u64 + natural_lines as u64 + 2) + pi as u64;
-                    subs.push(SubTask::new(
-                        rank,
-                        lines + if pi == 0 { p.backup } else { 0 },
-                        base,
-                        ndp_compute_delay,
-                    ));
-                }
+                prep.push_subtasks(p, &mut subs);
             }
             let rb0 = if sink.enabled() {
                 Some(mem.stats().clone())
@@ -1407,14 +1428,13 @@ fn run_query_sink<S: TraceSink>(
             let burst = config.dram.timing.burst_cycles;
             let contention = cpu.cores as u64 * burst / config.dram.channels as u64;
             for p in &planned {
-                let lines: usize =
-                    p.lines_by_placement.iter().map(|&(_, l)| l).sum::<usize>() + p.backup;
+                let lines = p.eval.total_lines();
                 if lines > 0 {
                     if mem.now() < clock && !mem.busy() {
                         mem.fast_forward_to(clock).expect("idle fast-forward");
                     }
                     let start = mem.now();
-                    let base_line = (p.id as u64) * (full_lines as u64 + natural_lines as u64 + 2);
+                    let base_line = prep.line_base(p.id);
                     for l in 0..lines as u64 {
                         let addr = (base_line + l) * 64;
                         let req = Request::new(req_base, AccessKind::Read, addr, Port::Host);
