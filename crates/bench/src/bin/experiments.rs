@@ -29,6 +29,8 @@ struct TimingRecord {
     cycles_simulated: u64,
     /// DRAM cycles jumped over by the event-wheel / skip-ahead drivers.
     cycles_skipped: u64,
+    /// Comparisons whose early-termination outcome the planner evaluated.
+    comparisons_planned: u64,
 }
 
 /// Hand-rolled JSON (the repo deliberately carries no serde dependency).
@@ -52,8 +54,15 @@ fn timing_json(scale: Scale, threads: usize, records: &[TimingRecord]) -> String
         let _ = write!(
             s,
             "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"queries_simulated\": {}, \
-             \"queries_per_sec\": {}, \"cycles_simulated\": {}, \"cycles_skipped\": {}}}",
-            r.name, r.seconds, r.queries, qps, r.cycles_simulated, r.cycles_skipped
+             \"queries_per_sec\": {}, \"cycles_simulated\": {}, \"cycles_skipped\": {}, \
+             \"comparisons_planned\": {}}}",
+            r.name,
+            r.seconds,
+            r.queries,
+            qps,
+            r.cycles_simulated,
+            r.cycles_skipped,
+            r.comparisons_planned
         );
         s.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
@@ -128,6 +137,7 @@ fn main() {
         let q0 = ansmet_sim::queries_simulated();
         let c0 = ansmet_sim::cycles_simulated();
         let k0 = ansmet_sim::cycles_skipped();
+        let p0 = ansmet_sim::comparisons_planned();
         match run_experiment(name, scale) {
             Some((report, artifacts)) => {
                 println!("{report}");
@@ -139,6 +149,7 @@ fn main() {
                     queries: ansmet_sim::queries_simulated() - q0,
                     cycles_simulated: ansmet_sim::cycles_simulated() - c0,
                     cycles_skipped: ansmet_sim::cycles_skipped() - k0,
+                    comparisons_planned: ansmet_sim::comparisons_planned() - p0,
                 });
                 for a in artifacts {
                     // `experiments serve --json FILE` redirects the serving

@@ -130,20 +130,27 @@ impl Partitioner {
     /// Panics if `group` is out of range.
     pub fn placement_in_group(&self, id: usize, group: usize) -> Vec<Placement> {
         assert!(group < self.groups, "group out of range");
-        let base = group * self.group_size;
         (0..self.subvecs)
             .map(|j| {
                 let start = j * self.dims_per_sub;
                 let end = ((j + 1) * self.dims_per_sub).min(self.dim);
-                // Sub-vectors beyond the group size wrap within the group
-                // (only possible when subvecs > n_ranks).
-                let rank = base + (j + id) % self.group_size;
                 Placement {
-                    rank,
+                    rank: self.rank_in_group(id, group, j),
                     dims: start..end,
                 }
             })
             .collect()
+    }
+
+    /// Global rank holding sub-vector `j` of vector `id` served from
+    /// `group`, which must be below [`Partitioner::rank_groups`]. Only the
+    /// rank depends on `id` and `group`: sub-vector `j` holds the same
+    /// dimensions in every placement.
+    pub fn rank_in_group(&self, id: usize, group: usize, j: usize) -> usize {
+        debug_assert!(group < self.groups, "group out of range");
+        // Sub-vectors beyond the group size wrap within the group (only
+        // possible when subvecs > n_ranks).
+        group * self.group_size + (j + id) % self.group_size
     }
 }
 
@@ -353,6 +360,36 @@ mod tests {
             let g = p.group_of(id);
             for q in p.placement(id) {
                 assert_eq!(q.rank / p.group_size(), g);
+            }
+        }
+    }
+
+    #[test]
+    fn every_group_splits_a_vector_into_the_same_dims() {
+        let schemes = [
+            PartitionScheme::Vertical,
+            PartitionScheme::Horizontal,
+            PartitionScheme::Hybrid { subvec_bytes: 1024 },
+        ];
+        for scheme in schemes {
+            for n_ranks in [8, 32, 64] {
+                for dim in [96, 128, 960] {
+                    for elem_bytes in [1, 4] {
+                        let p = Partitioner::new(scheme, n_ranks, dim, elem_bytes);
+                        for id in 0..3 * n_ranks {
+                            let home: Vec<_> =
+                                p.placement(id).into_iter().map(|q| q.dims).collect();
+                            for g in 0..p.rank_groups() {
+                                let pl = p.placement_in_group(id, g);
+                                let dims: Vec<_> = pl.iter().map(|q| q.dims.clone()).collect();
+                                assert_eq!(dims, home, "{scheme:?} {n_ranks} {dim} {elem_bytes}");
+                                for (j, q) in pl.iter().enumerate() {
+                                    assert_eq!(q.rank, p.rank_in_group(id, g, j));
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -47,7 +47,8 @@ pub use energy::{EnergyBreakdown, SystemEnergyModel};
 pub use error::AnsmetError;
 pub use events::{EventWheel, Wakeup};
 pub use parallel::{
-    cycles_simulated, cycles_skipped, default_threads, queries_simulated, set_default_threads,
+    comparisons_planned, cycles_simulated, cycles_skipped, default_threads, queries_simulated,
+    set_default_threads,
 };
 pub use throughput::{run_design_throughput, BatchExecution, ThroughputResult, WaveContext};
 pub use timing::{

@@ -12,6 +12,7 @@ static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
 static QUERIES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static CYCLES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static CYCLES_SKIPPED: AtomicU64 = AtomicU64::new(0);
+static COMPARISONS_PLANNED: AtomicU64 = AtomicU64::new(0);
 
 /// Set the thread count `Parallelism::Auto` resolves to (clamped ≥ 1).
 pub fn set_default_threads(n: usize) {
@@ -46,6 +47,21 @@ pub fn cycles_simulated() -> u64 {
 /// timing report records per experiment.
 pub fn cycles_skipped() -> u64 {
     CYCLES_SKIPPED.load(Ordering::Relaxed)
+}
+
+/// Comparisons whose early-termination outcome the planner evaluated
+/// since process start: every non-centroid comparison a latency replay
+/// runs, and every comparison of a query plan the wave executor fills.
+/// A wave that reads a filled plan adds nothing, and neither does a
+/// [`crate::run_design_shared`] memo hit.
+pub fn comparisons_planned() -> u64 {
+    COMPARISONS_PLANNED.load(Ordering::Relaxed)
+}
+
+/// Add one query replay's or one plan fill's comparison tally, so that
+/// replay workers touch the atomic once per query, not per comparison.
+pub(crate) fn record_comparisons(n: u64) {
+    COMPARISONS_PLANNED.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Fold one retired memory system's tick/skip counters into the

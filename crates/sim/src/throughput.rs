@@ -11,11 +11,17 @@
 //! `streams` queries progress in lock-step; each wave merges one hop
 //! from every active query into a single NDP batch executed on the
 //! shared memory system. Host-side costs of different streams run on
-//! different cores, so a wave pays only the slowest stream's host work.
+//! different cores, and waves in a real system are de-synchronized, so a
+//! wave charges the mean of its streams' serial host work, not their sum.
+//!
+//! How many lines a comparison fetches per rank depends only on its
+//! query, so a [`WaveContext`] evaluates early termination once per
+//! query and comparison: the query's first execution fills its plan, and
+//! every later execution in the same context reads it.
 
-use std::collections::HashSet;
+use std::sync::OnceLock;
 
-use ansmet_core::NoopEtObserver;
+use ansmet_core::{EtScratch, NoopEtObserver};
 use ansmet_dram::MemorySystem;
 use ansmet_index::HopKind;
 use ansmet_ndp::{LoadTracker, Partitioner};
@@ -24,7 +30,7 @@ use ansmet_obs::{NoopSink, TraceSink};
 
 use crate::config::SystemConfig;
 use crate::design::Design;
-use crate::timing::{row_buffer_delta, run_ndp_batch, BatchScratch, PlanScratch, RunPrep, SubTask};
+use crate::timing::{row_buffer_delta, run_ndp_batch, BatchScratch, RunPrep, SubTask};
 use crate::workload::Workload;
 
 /// Result of a throughput run.
@@ -75,8 +81,71 @@ pub struct BatchExecution {
 ///
 /// The context is the latency replay's prep: both executors plan every
 /// comparison through the same planner and differ only in what they charge.
+/// It also holds one early-termination plan per query, filled on the
+/// query's first execution. A plan is a pure function of its query, so
+/// reading it changes no batch's cost.
 pub struct WaveContext<'a> {
     prep: RunPrep<'a>,
+    /// One plan per trace of the workload.
+    plans: Vec<OnceLock<QueryPlan>>,
+}
+
+/// What the wave reads of one query's comparisons: the lines each chunk
+/// fetches and the backup lines, in trace order. Centroid hops, which the
+/// host computes, hold no entries.
+///
+/// `resumed` is not kept: the wave does not charge residual rounds.
+struct QueryPlan {
+    /// Lines per chunk, one entry per chunk of the prep per comparison.
+    lines: Vec<u16>,
+    /// Backup lines, one entry per comparison.
+    backup: Vec<u16>,
+    /// Index of each hop's first comparison, plus the end of the last.
+    hop_start: Vec<u32>,
+}
+
+impl QueryPlan {
+    /// Evaluate every comparison of query `qi` once, as the wave charges
+    /// it: with no observer.
+    fn fill(prep: &RunPrep, qi: usize) -> QueryPlan {
+        let trace = &prep.workload.traces[qi];
+        let query = &prep.workload.queries[qi];
+        let evals: usize = trace
+            .hops
+            .iter()
+            .filter(|h| h.kind != HopKind::Centroid)
+            .map(|h| h.evals.len())
+            .sum();
+        let mut plan = QueryPlan {
+            lines: Vec::with_capacity(evals * prep.chunks.len()),
+            backup: Vec::with_capacity(evals),
+            hop_start: Vec::with_capacity(trace.hops.len() + 1),
+        };
+        let narrow = |n: usize| u16::try_from(n).expect("a chunk's lines fit in u16");
+        let offset = |n: usize| u32::try_from(n).expect("a trace's comparisons fit in u32");
+        let mut scratch = EtScratch::new();
+        for hop in &trace.hops {
+            plan.hop_start.push(offset(plan.backup.len()));
+            if hop.kind == HopKind::Centroid {
+                continue;
+            }
+            for e in &hop.evals {
+                let m = prep.evaluate(e, query, &mut scratch, &mut NoopEtObserver);
+                plan.lines.extend(m.lines.iter().map(|&l| narrow(l)));
+                plan.backup.push(narrow(m.backup_lines));
+            }
+        }
+        plan.hop_start.push(offset(evals));
+        crate::parallel::record_comparisons(evals as u64);
+        plan
+    }
+
+    /// Lines per chunk (`chunks` entries per comparison) and backup lines
+    /// of hop `h`'s comparisons.
+    fn hop(&self, h: usize, chunks: usize) -> (&[u16], &[u16]) {
+        let (a, b) = (self.hop_start[h] as usize, self.hop_start[h + 1] as usize);
+        (&self.lines[a * chunks..b * chunks], &self.backup[a..b])
+    }
 }
 
 impl<'a> WaveContext<'a> {
@@ -90,12 +159,18 @@ impl<'a> WaveContext<'a> {
         assert!(design.is_ndp(), "throughput waves model the NDP designs");
         WaveContext {
             prep: RunPrep::new(design, workload, config),
+            plans: workload.traces.iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
     /// How the vectors are spread over the ranks.
     pub fn partitioner(&self) -> &Partitioner {
         &self.prep.partitioner
+    }
+
+    /// Query `qi`'s plan, filled on first use.
+    fn plan(&self, qi: usize) -> &QueryPlan {
+        self.plans[qi].get_or_init(|| QueryPlan::fill(&self.prep, qi))
     }
 
     /// Execute the queries named by `query_ids` (indices into the
@@ -137,17 +212,20 @@ impl<'a> WaveContext<'a> {
         let config = prep.config;
         let mem_clock = config.dram.clock_mhz;
         let cpu = &config.cpu;
+        let ranks = config.ndp_units();
+        let chunks = prep.chunks.len();
 
-        let mut loads = LoadTracker::new(config.ndp_units(), prep.partitioner.group_size());
+        let mut loads = LoadTracker::new(ranks, prep.partitioner.group_size());
         let mut mem = MemorySystem::new(config.dram.clone());
 
-        // Stream cursors: (position in `query_ids`, hop index).
+        // Stream cursors in admission order: (position in `query_ids`, hop
+        // index). Row `pos` of `uploaded` marks the ranks the query at
+        // `pos` has been uploaded to.
         let mut next_pos = 0usize;
-        let mut cursors: Vec<(usize, usize)> = Vec::new();
-        let mut uploaded: HashSet<(usize, usize)> = HashSet::new();
+        let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(streams.min(query_ids.len()));
+        let mut uploaded = vec![false; query_ids.len() * ranks];
         let mut req_base = 0u64;
         let mut clock = 0u64;
-        let mut plan_scratch = PlanScratch::default();
         let mut batch = BatchScratch::new();
         let mut subs: Vec<SubTask> = Vec::new();
         let mut retire = vec![0u64; query_ids.len()];
@@ -169,11 +247,9 @@ impl<'a> WaveContext<'a> {
             let mut host_serial_sum = 0u64;
             let mut upload_max = 0u64;
             subs.clear();
-            for (pos, hop_idx) in cursors.iter_mut() {
-                let qi = query_ids[*pos];
-                let trace = &workload.traces[qi];
-                let hop = &trace.hops[*hop_idx];
-                let query = &workload.queries[qi];
+            for &(pos, hop_idx) in &cursors {
+                let qi = query_ids[pos];
+                let hop = &workload.traces[qi].hops[hop_idx];
                 let accepted = hop.evals.iter().filter(|e| e.accepted).count();
                 let mut host = cpu.hop_cycles(hop.evals.len(), accepted);
                 let mut upload = 0u64;
@@ -181,29 +257,27 @@ impl<'a> WaveContext<'a> {
                     host +=
                         cpu.distance_compute_cycles(prep.natural_lines) * hop.evals.len() as u64;
                 } else {
-                    for e in &hop.evals {
-                        let p = prep.plan_eval(
-                            e,
-                            query,
-                            &mut loads,
-                            &mut plan_scratch,
-                            &mut NoopEtObserver,
-                        );
-                        prep.push_subtasks(&p, &mut subs);
-                        for (rank, _) in p.rank_lines() {
-                            if uploaded.insert((*pos, rank)) {
+                    let (lines, backup) = self.plan(qi).hop(hop_idx, chunks);
+                    let uploaded = &mut uploaded[pos * ranks..(pos + 1) * ranks];
+                    for ((e, lines), &backup) in
+                        hop.evals.iter().zip(lines.chunks_exact(chunks)).zip(backup)
+                    {
+                        let group = prep.place(e.id, lines, &mut loads);
+                        prep.push_subtasks(e.id, group, lines, backup.into(), &mut subs);
+                        for (rank, _) in prep.rank_lines(e.id, group, lines) {
+                            if !uploaded[rank] {
+                                uploaded[rank] = true;
                                 upload += cpu.query_upload_cycles(prep.query_bytes);
                             }
                         }
                     }
-                    let evals = hop.evals.len();
-                    host += cpu.offload_cycles(evals.max(1));
+                    host += cpu.offload_cycles(hop.evals.len().max(1));
                 }
                 host_serial_sum += cpu.to_mem_cycles(host, mem_clock);
                 upload_max = upload_max.max(cpu.to_mem_cycles(upload, mem_clock));
             }
 
-            clock += host_serial_sum / cursors.len().max(1) as u64;
+            clock += host_serial_sum / cursors.len() as u64;
             if !subs.is_empty() {
                 let t0 = clock.max(mem.now());
                 let stats_before = if sink.enabled() {
@@ -236,17 +310,14 @@ impl<'a> WaveContext<'a> {
 
             // Advance streams; retire finished queries at the close of
             // the wave that executed their last hop.
-            cursors = cursors
-                .into_iter()
-                .filter_map(|(pos, hop_idx)| {
-                    if hop_idx + 1 < workload.traces[query_ids[pos]].hops.len() {
-                        Some((pos, hop_idx + 1))
-                    } else {
-                        retire[pos] = clock.max(1);
-                        None
-                    }
-                })
-                .collect();
+            cursors.retain_mut(|(pos, hop_idx)| {
+                if *hop_idx + 1 < workload.traces[query_ids[*pos]].hops.len() {
+                    *hop_idx += 1;
+                    return true;
+                }
+                retire[*pos] = clock.max(1);
+                false
+            });
         }
 
         crate::parallel::record_mem_cycles(&mem);
@@ -322,6 +393,12 @@ mod tests {
             r32.total_cycles,
             r8.total_cycles
         );
+    }
+
+    #[test]
+    fn context_is_shared_across_threads() {
+        fn sync<T: Sync>() {}
+        sync::<WaveContext<'static>>();
     }
 
     #[test]

@@ -17,8 +17,7 @@ use ansmet_host::CYCLES_PER_LINE;
 use ansmet_index::{Eval, HopKind};
 use ansmet_ndp::qshr::QSHRS_PER_UNIT;
 use ansmet_ndp::{
-    LoadTracker, Partitioner, Placement, PollingPolicy, PollingStats, ReplicaSet,
-    CONVENTIONAL_POLL_PERIOD,
+    LoadTracker, Partitioner, PollingPolicy, PollingStats, ReplicaSet, CONVENTIONAL_POLL_PERIOD,
 };
 use ansmet_obs::{
     DramCommandKind, EventKind, FlightRecorder, NoopSink, Phase, QueryRecorder, RecorderConfig,
@@ -675,6 +674,13 @@ fn run_ndp_batch_tick<S: TraceSink>(
 /// Immutable per-`(design, workload, config)` state, shared read-only by
 /// the latency replay's worker threads and by the wave executor
 /// ([`WaveContext`](crate::WaveContext)).
+///
+/// Planning a comparison is two steps. [`RunPrep::evaluate`] decides how
+/// many lines each chunk fetches; that depends on the query, the vector,
+/// the threshold and the layout only. [`RunPrep::place`] then picks the
+/// rank group, which for a replicated vector depends on the current rank
+/// load, and [`RunPrep::push_subtasks`] turns the placed comparison into
+/// NDP sub-tasks.
 pub(crate) struct RunPrep<'a> {
     design: Design,
     pub(crate) workload: &'a Workload,
@@ -683,6 +689,11 @@ pub(crate) struct RunPrep<'a> {
     engine: Option<EtEngine<'a>>,
     replicas: ReplicaSet,
     polling: PollingPolicy,
+    /// The dimension ranges a comparison is evaluated over: the
+    /// sub-vectors for an NDP design (chunk `j` lives on the rank
+    /// [`Partitioner::rank_in_group`] names for `j`), the whole vector for
+    /// a CPU design.
+    pub(crate) chunks: Vec<Range<usize>>,
     pub(crate) natural_lines: usize,
     full_lines: usize,
     ndp_compute_delay: u64,
@@ -690,33 +701,13 @@ pub(crate) struct RunPrep<'a> {
     elem_bytes: usize,
 }
 
-/// One comparison planned onto its placements by [`RunPrep::plan_eval`].
+/// One comparison evaluated and placed by the latency replay.
 pub(crate) struct PlannedEval {
     id: usize,
-    /// Where the vector lives. A CPU design evaluates the whole vector at
-    /// the first placement, so only that one carries lines.
-    placements: Vec<Placement>,
-    /// Lines per evaluated placement; the first placement fetches the
-    /// backup lines.
+    /// The rank group serving the comparison.
+    group: usize,
+    /// Lines per evaluated chunk, backup lines and the ET verdict.
     eval: MultiEval,
-}
-
-impl PlannedEval {
-    /// `(rank, lines)` per evaluated placement, in placement order.
-    pub(crate) fn rank_lines(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.placements
-            .iter()
-            .map(|p| p.rank)
-            .zip(self.eval.lines.iter().copied())
-    }
-}
-
-/// Working storage of [`RunPrep::plan_eval`], reused from comparison to
-/// comparison by one query replay or wave execution.
-#[derive(Default)]
-pub(crate) struct PlanScratch {
-    et: EtScratch,
-    chunks: Vec<Range<usize>>,
 }
 
 impl<'a> RunPrep<'a> {
@@ -727,10 +718,13 @@ impl<'a> RunPrep<'a> {
 
         // NDP-side structures.
         let partitioner = Partitioner::new(config.partition, config.ndp_units(), dim, elem_bytes);
-        let layout_dim = if design.is_ndp() {
-            partitioner.dims_per_subvector()
+        #[allow(clippy::single_range_in_vec_init)] // a CPU design's one chunk is the whole vector
+        let (layout_dim, chunks) = if design.is_ndp() {
+            // Every placement splits a vector into the same sub-vectors.
+            let chunks = partitioner.placement(0).into_iter().map(|p| p.dims);
+            (partitioner.dims_per_subvector(), chunks.collect())
         } else {
-            dim
+            (dim, vec![0..dim])
         };
         let plan = DesignPlan::build_for_layout(design, workload, layout_dim);
         let engine = plan
@@ -780,6 +774,7 @@ impl<'a> RunPrep<'a> {
             engine,
             replicas,
             polling,
+            chunks,
             natural_lines,
             full_lines,
             ndp_compute_delay,
@@ -788,39 +783,25 @@ impl<'a> RunPrep<'a> {
         }
     }
 
-    /// Plan comparison `e` against `query`: place the vector (a replicated
-    /// vector goes to the least-loaded rank group), evaluate early
-    /// termination per placement and add each placement's lines to
-    /// `loads`. NDP designs evaluate each sub-vector against its threshold
-    /// share ([`crate::etplan`]); CPU designs evaluate the whole vector at
-    /// the first placement's rank. `obs` sees the ET outcomes.
-    pub(crate) fn plan_eval<O: EtObserver>(
+    /// Evaluate early termination for comparison `e` against `query` over
+    /// the prep's chunks: NDP designs evaluate each sub-vector against its
+    /// threshold share ([`crate::etplan`]), CPU designs the whole vector.
+    /// The outcome does not depend on where the vector is placed. `obs`
+    /// sees the ET outcomes.
+    pub(crate) fn evaluate<O: EtObserver>(
         &self,
         e: &Eval,
         query: &[f32],
-        loads: &mut LoadTracker,
-        scratch: &mut PlanScratch,
+        scratch: &mut EtScratch,
         obs: &mut O,
-    ) -> PlannedEval {
-        let placements = if self.replicas.contains(e.id) {
-            self.partitioner
-                .placement_in_group(e.id, loads.least_loaded_group())
-        } else {
-            self.partitioner.placement(e.id)
-        };
-        let chunks = &mut scratch.chunks;
-        chunks.clear();
-        if self.design.is_ndp() {
-            chunks.extend(placements.iter().map(|p| p.dims.clone()));
-        } else {
-            chunks.push(0..self.workload.data.dim());
-        }
-        let eval = match &self.engine {
+    ) -> MultiEval {
+        match &self.engine {
             Some(eng) => {
-                evaluate_chunked_obs(eng, e.id, query, chunks, e.threshold, &mut scratch.et, obs)
+                evaluate_chunked_obs(eng, e.id, query, &self.chunks, e.threshold, scratch, obs)
             }
             None => MultiEval {
-                lines: chunks
+                lines: self
+                    .chunks
                     .iter()
                     .map(|c| (c.len() * self.elem_bytes).div_ceil(64))
                     .collect(),
@@ -828,16 +809,42 @@ impl<'a> RunPrep<'a> {
                 pruned: false,
                 resumed: false,
             },
+        }
+    }
+
+    /// Place comparison `id`, whose chunk `j` fetches `lines[j]` lines: a
+    /// replicated vector is served from the least-loaded rank group, any
+    /// other from its home group. Adds each chunk's lines to `loads` and
+    /// returns the group.
+    pub(crate) fn place<L: Copy + Into<usize>>(
+        &self,
+        id: usize,
+        lines: &[L],
+        loads: &mut LoadTracker,
+    ) -> usize {
+        let group = if self.replicas.contains(id) {
+            loads.least_loaded_group()
+        } else {
+            self.partitioner.group_of(id)
         };
-        let p = PlannedEval {
-            id: e.id,
-            placements,
-            eval,
-        };
-        for (rank, l) in p.rank_lines() {
+        for (rank, l) in self.rank_lines(id, group, lines) {
             loads.add(rank, l as u64);
         }
-        p
+        group
+    }
+
+    /// `(rank, lines)` per evaluated chunk of comparison `id` served from
+    /// `group`, in chunk order.
+    pub(crate) fn rank_lines<'l, L: Copy + Into<usize>>(
+        &'l self,
+        id: usize,
+        group: usize,
+        lines: &'l [L],
+    ) -> impl Iterator<Item = (usize, usize)> + 'l {
+        lines
+            .iter()
+            .enumerate()
+            .map(move |(j, &l)| (self.partitioner.rank_in_group(id, group, j), l.into()))
     }
 
     /// First line of vector `id`'s fetch region. Regions are far enough
@@ -846,17 +853,24 @@ impl<'a> RunPrep<'a> {
         id as u64 * (self.full_lines as u64 + self.natural_lines as u64 + 2)
     }
 
-    /// Append one NDP sub-task per placement of `p`; placement `i` starts
-    /// `i` lines into the vector's region, and the first placement also
-    /// fetches the backup lines.
-    pub(crate) fn push_subtasks(&self, p: &PlannedEval, subs: &mut Vec<SubTask>) {
-        let base = self.line_base(p.id);
-        for (pi, (rank, lines)) in p.rank_lines().enumerate() {
-            let backup = if pi == 0 { p.eval.backup_lines } else { 0 };
+    /// Append one NDP sub-task per evaluated chunk of comparison `id`
+    /// served from `group`; chunk `j` starts `j` lines into the vector's
+    /// region, and the first chunk also fetches the `backup_lines`.
+    pub(crate) fn push_subtasks<L: Copy + Into<usize>>(
+        &self,
+        id: usize,
+        group: usize,
+        lines: &[L],
+        backup_lines: usize,
+        subs: &mut Vec<SubTask>,
+    ) {
+        let base = self.line_base(id);
+        for (j, (rank, lines)) in self.rank_lines(id, group, lines).enumerate() {
+            let backup = if j == 0 { backup_lines } else { 0 };
             subs.push(SubTask::new(
                 rank,
                 lines + backup,
-                base + pi as u64,
+                base + j as u64,
                 self.ndp_compute_delay,
             ));
         }
@@ -1202,7 +1216,7 @@ fn run_query_sink<S: TraceSink>(
     let mut loads = LoadTracker::new(config.ndp_units(), prep.partitioner.group_size());
     let mut qs = QueryStats::default();
     let mut req_base: u64 = 0;
-    let mut plan_scratch = PlanScratch::default();
+    let mut et_scratch = EtScratch::new();
     let mut batch = BatchScratch::new();
     // Running estimate of per-hop batch latency for adaptive polling,
     // seeded from the sampling-profile expectation and refined with an
@@ -1262,8 +1276,8 @@ fn run_query_sink<S: TraceSink>(
                 sink: &mut *sink,
                 cycle: att,
             };
-            let p = prep.plan_eval(e, query, &mut loads, &mut plan_scratch, &mut ob);
-            let m = &p.eval;
+            let m = prep.evaluate(e, query, &mut et_scratch, &mut ob);
+            let group = prep.place(e.id, &m.lines, &mut loads);
             let total = m.total_lines();
             if e.accepted {
                 qs.effectual_lines += (total - m.backup_lines) as u64;
@@ -1277,14 +1291,18 @@ fn run_query_sink<S: TraceSink>(
             }
             qs.ndp_compute_lines += total as u64;
             resumed |= m.resumed;
-            planned.push(p);
+            planned.push(PlannedEval {
+                id: e.id,
+                group,
+                eval: m,
+            });
         }
         if design.is_ndp() {
             // Offload: upload query to first-touched ranks, then
             // set-search writes (≤ 8 tasks each).
             let mut tasks_per_rank: HashMap<usize, usize> = HashMap::new();
             for p in &planned {
-                for (rank, _) in p.rank_lines() {
+                for (rank, _) in prep.rank_lines(p.id, p.group, &p.eval.lines) {
                     *tasks_per_rank.entry(rank).or_insert(0) += 1;
                 }
             }
@@ -1310,7 +1328,7 @@ fn run_query_sink<S: TraceSink>(
             // Build sub-tasks and execute.
             let mut subs: Vec<SubTask> = Vec::new();
             for p in &planned {
-                prep.push_subtasks(p, &mut subs);
+                prep.push_subtasks(p.id, p.group, &p.eval.lines, p.eval.backup_lines, &mut subs);
             }
             let rb0 = if sink.enabled() {
                 Some(mem.stats().clone())
@@ -1496,6 +1514,7 @@ fn run_query_sink<S: TraceSink>(
     qs.rank_counts = mem.rank_command_counts();
     qs.rank_loads = loads.loads().to_vec();
     crate::parallel::record_mem_cycles(&mem);
+    crate::parallel::record_comparisons(qs.total_evals);
     qs
 }
 
