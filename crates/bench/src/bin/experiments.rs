@@ -31,6 +31,10 @@ struct TimingRecord {
     cycles_skipped: u64,
     /// Comparisons whose early-termination outcome the planner evaluated.
     comparisons_planned: u64,
+    /// `Hnsw::build` calls.
+    hnsw_builds: u64,
+    /// Distances HNSW construction computed (builds, inserts, unlinks).
+    construction_distances: u64,
 }
 
 /// Hand-rolled JSON (the repo deliberately carries no serde dependency).
@@ -55,14 +59,16 @@ fn timing_json(scale: Scale, threads: usize, records: &[TimingRecord]) -> String
             s,
             "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"queries_simulated\": {}, \
              \"queries_per_sec\": {}, \"cycles_simulated\": {}, \"cycles_skipped\": {}, \
-             \"comparisons_planned\": {}}}",
+             \"comparisons_planned\": {}, \"hnsw_builds\": {}, \"construction_distances\": {}}}",
             r.name,
             r.seconds,
             r.queries,
             qps,
             r.cycles_simulated,
             r.cycles_skipped,
-            r.comparisons_planned
+            r.comparisons_planned,
+            r.hnsw_builds,
+            r.construction_distances
         );
         s.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
@@ -138,6 +144,8 @@ fn main() {
         let c0 = ansmet_sim::cycles_simulated();
         let k0 = ansmet_sim::cycles_skipped();
         let p0 = ansmet_sim::comparisons_planned();
+        let b0 = ansmet_index::hnsw_builds();
+        let d0 = ansmet_index::construction_distances();
         match run_experiment(name, scale) {
             Some((report, artifacts)) => {
                 println!("{report}");
@@ -150,6 +158,8 @@ fn main() {
                     cycles_simulated: ansmet_sim::cycles_simulated() - c0,
                     cycles_skipped: ansmet_sim::cycles_skipped() - k0,
                     comparisons_planned: ansmet_sim::comparisons_planned() - p0,
+                    hnsw_builds: ansmet_index::hnsw_builds() - b0,
+                    construction_distances: ansmet_index::construction_distances() - d0,
                 });
                 for a in artifacts {
                     // `experiments serve --json FILE` redirects the serving

@@ -24,8 +24,8 @@
 //! reallocation.
 
 use ansmet_index::{
-    DistanceOracle, ExactOracle, Hnsw, HnswParams, Neighbor, SearchResult, SearchScratch,
-    VisitedSet,
+    BuildScratch, DistanceOracle, ExactOracle, Hnsw, HnswParams, Neighbor, SearchResult,
+    SearchScratch,
 };
 use ansmet_vecdata::Dataset;
 use rand::rngs::SmallRng;
@@ -63,7 +63,8 @@ pub struct MutableIndex {
     /// Tombstoned ids still physically present in the index.
     unpurged_dead: usize,
     rng: SmallRng,
-    insert_visited: VisitedSet,
+    /// Construction buffers shared by inserts and compaction.
+    build_scratch: BuildScratch,
 }
 
 impl MutableIndex {
@@ -74,7 +75,7 @@ impl MutableIndex {
     /// # Panics
     ///
     /// Panics as [`Hnsw::build`] does: on an empty dataset, or on `params`
-    /// whose levels fail [`HnswParams::check_levels`].
+    /// that fail [`HnswParams::validate`].
     pub fn build_hnsw(data: Dataset, params: HnswParams, level_seed: u64) -> Self {
         let hnsw = Hnsw::build(&data, params);
         let fresh = vec![false; data.len()];
@@ -144,7 +145,7 @@ impl MutableIndex {
             dead,
             unpurged_dead,
             rng,
-            insert_visited: VisitedSet::new(n),
+            build_scratch: BuildScratch::new(n),
         }
     }
 
@@ -230,7 +231,7 @@ impl MutableIndex {
         let level = self.hnsw.params().sample_level(&mut self.rng);
         let node = self
             .hnsw
-            .insert_point(&self.data, level, &mut self.insert_visited);
+            .insert_point(&self.data, level, &mut self.build_scratch);
         debug_assert_eq!(node, id, "index and dataset ids diverged");
         self.inserts += 1;
         self.generation += 1;
@@ -267,7 +268,8 @@ impl MutableIndex {
             let alive: Vec<bool> = self.tombstones.iter().map(|&t| !t).collect();
             for id in 0..self.tombstones.len() {
                 if self.tombstones[id] && !self.purged[id] {
-                    self.hnsw.unlink(&self.data, id, &alive);
+                    self.hnsw
+                        .unlink(&self.data, id, &alive, &mut self.build_scratch);
                     self.purged[id] = true;
                     purged += 1;
                 }

@@ -220,7 +220,7 @@ pub fn load(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     if backend != HNSW_BACKEND {
         return malformed(format!("unknown backend tag {backend}"));
     }
-    let hnsw = read_hnsw(&mut r, n)?;
+    let hnsw = read_hnsw(&mut r, &data)?;
     let tombstones = r.bools(n, "tombstones")?;
     let purged = r.bools(n, "purge flags")?;
     let conservative = r.bools(n, "conservative flags")?;
@@ -386,13 +386,14 @@ fn write_hnsw(w: &mut Writer, h: &Hnsw) {
     w.u32s(h.levels().iter().map(|&level| level as u32));
     for layer in 0..h.layer_count() {
         for node in 0..h.len() {
-            w.u32s(h.neighbors(layer, node).iter().map(|&nb| nb as u32));
+            w.u32s(h.neighbors(layer, node).iter().map(|l| l.id() as u32));
         }
     }
 }
 
-/// Read the HNSW section of a dataset of `n` vectors.
-fn read_hnsw(r: &mut Reader, n: usize) -> Result<Hnsw, SnapshotError> {
+/// Read the HNSW section over `data`.
+fn read_hnsw(r: &mut Reader, data: &Dataset) -> Result<Hnsw, SnapshotError> {
+    let n = data.len();
     let m = r.u32("hnsw m")? as usize;
     let m_max0 = r.u32("hnsw m_max0")? as usize;
     let ef_construction = r.u32("hnsw ef_construction")? as usize;
@@ -410,8 +411,8 @@ fn read_hnsw(r: &mut Reader, n: usize) -> Result<Hnsw, SnapshotError> {
         level_mult,
     };
     // A forged multiplier would make the next insert allocate layers
-    // without bound.
-    if let Err(e) = params.check_levels() {
+    // without bound, and a zero degree or beam width would make it panic.
+    if let Err(e) = params.validate() {
         return malformed(e);
     }
     let entry = r.u32("hnsw entry")? as usize;
@@ -446,7 +447,7 @@ fn read_hnsw(r: &mut Reader, n: usize) -> Result<Hnsw, SnapshotError> {
         links.push(layer);
     }
     let levels = levels.into_iter().map(|level| level as usize).collect();
-    Ok(Hnsw::from_parts(links, levels, entry, params))
+    Ok(Hnsw::from_parts(data, links, levels, entry, params))
 }
 
 fn write_layout(w: &mut Writer, layout: &LayoutArtifacts) {
@@ -836,6 +837,29 @@ mod tests {
         // insert would allocate layers without bound.
         assert_malformed(&patched(&clean, m, 1), "M = 1");
         assert_malformed(&patched(&clean, layers, 1), "levels beyond the layer count");
+        // A zero degree or beam width would make the next insert panic.
+        let (m_max0, ef) = (m + 4, m + 8);
+        assert_malformed(&patched(&clean, m, 0), "M = 0");
+        assert_malformed(&patched(&clean, m_max0, 0), "m_max0 = 0");
+        assert_malformed(&patched(&clean, ef, 0), "ef_construction = 0");
+    }
+
+    #[test]
+    fn forged_huge_beam_width_reserves_nothing_up_front() {
+        let (idx, layout, _) = churned(60);
+        let clean = save(&idx, &layout, &meta());
+        let ef = length_offset(&idx) + 4 + idx.len() * idx.data().dim() * 4 + 1 + 8;
+        // A beam of 2^32 - 1 is legal, but reserving its 16-byte heap
+        // entries up front would ask for 68 GB; the construction heaps
+        // grow only with the nodes a beam search reaches.
+        let mut huge = load(&patched(&clean, ef, u32::MAX))
+            .expect("a huge beam width is valid")
+            .index;
+        assert_eq!(huge.hnsw().params().ef_construction, u32::MAX as usize);
+        let v = idx.data().vector(0).to_vec();
+        let id = huge.insert(&v);
+        assert_eq!(id, idx.len());
+        assert_eq!(huge.search_exact(&v, 1, 16).neighbors()[0].dist, 0.0);
     }
 
     #[test]

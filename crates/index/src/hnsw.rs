@@ -7,15 +7,37 @@
 //! selection heuristic. Search uses greedy beam search with a bounded
 //! result set whose maximum distance is the early-termination threshold.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ansmet_vecdata::Dataset;
 
-use crate::heap::{MaxDistHeap, MinDistHeap, Neighbor};
+use crate::heap::Neighbor;
 use crate::oracle::{DistanceOracle, DistanceOutcome};
+use crate::scratch::BuildScratch;
 use crate::trace::{Eval, Hop, HopKind, SearchTrace};
-use crate::visited::VisitedSet;
+
+static BUILDS: AtomicU64 = AtomicU64::new(0);
+static CONSTRUCTION_DISTANCES: AtomicU64 = AtomicU64::new(0);
+
+/// [`Hnsw::build`] calls since process start.
+pub fn hnsw_builds() -> u64 {
+    BUILDS.load(Ordering::Relaxed)
+}
+
+/// Distances HNSW construction computed since process start: every
+/// [`Hnsw::build`], [`Hnsw::insert_point`] and [`Hnsw::unlink`]. Each call
+/// adds its tally once, when it returns.
+pub fn construction_distances() -> u64 {
+    CONSTRUCTION_DISTANCES.load(Ordering::Relaxed)
+}
+
+/// Add the distances `scratch` tallied since its last flush.
+fn record_distances(scratch: &mut BuildScratch) {
+    CONSTRUCTION_DISTANCES.fetch_add(std::mem::take(&mut scratch.distances), Ordering::Relaxed);
+}
 
 /// Bound on the deepest level [`HnswParams::sample_level`] may draw. The
 /// paper's `1 / ln M` multiplier reaches 51 at `M = 2`; a larger
@@ -64,15 +86,36 @@ impl HnswParams {
         self.level_mult.unwrap_or(1.0 / (self.m as f64).ln())
     }
 
-    /// Check that every level [`sample_level`](HnswParams::sample_level)
-    /// can draw lies in `[0, MAX_LEVEL)`.
+    /// Maximum degree kept on `layer`: `m_max0` at the base, `m` above.
+    pub(crate) fn m_max(&self, layer: usize) -> usize {
+        if layer == 0 {
+            self.m_max0
+        } else {
+            self.m
+        }
+    }
+
+    /// Check that construction can run on these parameters: `m`, `m_max0`
+    /// and `ef_construction` are positive, and every level
+    /// [`sample_level`](HnswParams::sample_level) can draw lies in
+    /// `[0, MAX_LEVEL)`.
     ///
     /// # Errors
     ///
-    /// Names the multiplier and the deepest level it draws when that level
-    /// is out of range: `m = 1` without an override (`1 / ln 1` is
-    /// infinite), or a negative, NaN or oversized override.
-    pub fn check_levels(&self) -> Result<(), String> {
+    /// Names the first zero parameter, or the multiplier and the deepest
+    /// level it draws when that level is out of range: `m = 1` without an
+    /// override (`1 / ln 1` is infinite), or a negative, NaN or oversized
+    /// override.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("m", self.m),
+            ("m_max0", self.m_max0),
+            ("ef_construction", self.ef_construction),
+        ] {
+            if value == 0 {
+                return Err(format!("hnsw {name} must be positive"));
+            }
+        }
         // `sample_level` floors `-ln(u) · mult` for `u` in `[ε, 1)`.
         let mult = self.effective_level_mult();
         let deepest = -f64::EPSILON.ln() * mult;
@@ -118,12 +161,50 @@ impl SearchResult {
     }
 }
 
+/// One directed link of the graph: the neighbor's id and its distance to
+/// the node that holds the link.
+///
+/// Construction computes that distance when it makes the link, and every
+/// later re-selection over the node's links (the overflow shrink, the
+/// bridging of an unlinked node) reads it instead of recomputing it. The
+/// distance kernels return the same bits whichever way round they are
+/// called, so the stored distance equals a recomputed one (DESIGN §7.3).
+/// A link takes 8 bytes, the size of a `usize` id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link {
+    id: u32,
+    dist: f32,
+}
+
+impl Link {
+    fn new(n: Neighbor) -> Self {
+        Link {
+            id: u32::try_from(n.id).expect("HNSW node ids fit in u32"),
+            dist: n.dist,
+        }
+    }
+
+    /// The neighbor's id.
+    pub fn id(&self) -> usize {
+        self.id as usize
+    }
+
+    /// The neighbor's distance to the node holding the link.
+    pub fn dist(&self) -> f32 {
+        self.dist
+    }
+
+    pub(crate) fn neighbor(&self) -> Neighbor {
+        Neighbor::new(self.dist, self.id())
+    }
+}
+
 /// The built HNSW index.
 #[derive(Debug, Clone)]
 pub struct Hnsw {
     /// Adjacency lists: `links[layer][node]` (empty when the node is not
     /// present on that layer).
-    links: Vec<Vec<Vec<usize>>>,
+    links: Vec<Vec<Vec<Link>>>,
     /// Highest layer of each node.
     levels: Vec<usize>,
     /// Entry point (node on the top layer).
@@ -137,11 +218,12 @@ impl Hnsw {
     /// # Panics
     ///
     /// Panics if the dataset is empty, or if `params` fails
-    /// [`HnswParams::check_levels`] (for example `m = 1` without a level
-    /// multiplier), before any level is drawn.
+    /// [`HnswParams::validate`] (for example `m = 1` without a level
+    /// multiplier), before any level is drawn. Links store `u32` ids, so
+    /// an id above `u32::MAX` panics too.
     pub fn build(data: &Dataset, params: HnswParams) -> Self {
         assert!(!data.is_empty(), "cannot build HNSW over an empty dataset");
-        if let Err(e) = params.check_levels() {
+        if let Err(e) = params.validate() {
             panic!("cannot build HNSW: {e}");
         }
         let n = data.len();
@@ -152,160 +234,124 @@ impl Hnsw {
         let max_level = levels.iter().copied().max().unwrap_or(0);
         let mut index = Hnsw {
             links: vec![vec![Vec::new(); n]; max_level + 1],
-            levels: levels.clone(),
+            levels,
             entry: 0,
             params,
         };
 
-        let mut top_so_far = levels[0];
-        index.entry = 0;
-        let mut visited = VisitedSet::new(n);
-        #[allow(clippy::needless_range_loop)] // indexed dimension-range loops read clearer here
+        let mut scratch = BuildScratch::new(n);
         for node in 1..n {
-            index.insert(data, node, &mut visited);
-            if levels[node] > top_so_far {
-                top_so_far = levels[node];
+            index.insert(data, node, &mut scratch);
+            if index.levels[node] > index.levels[index.entry] {
                 index.entry = node;
             }
         }
+        BUILDS.fetch_add(1, Ordering::Relaxed);
+        record_distances(&mut scratch);
         index
     }
 
-    fn insert(&mut self, data: &Dataset, node: usize, visited: &mut VisitedSet) {
+    /// Link `node` into the graph: greedy descent to its level, then a
+    /// beam search and Malkov's selection on each of its layers, with the
+    /// reverse links shrunk back to the layer's degree bound.
+    fn insert(&mut self, data: &Dataset, node: usize, s: &mut BuildScratch) {
         let query = data.vector(node);
         let node_level = self.levels[node];
         let entry_level = self.levels[self.entry];
-        let mut curr = self.entry;
-        let mut curr_dist = data.distance_to(curr, query);
+        let mut curr = Neighbor::new(s.distance(data, self.entry, query), self.entry);
 
-        // Greedy descent above the insertion level.
+        // Greedy descent above the insertion level: each round scans the
+        // links of the node it started from.
         for layer in (node_level + 1..=entry_level).rev() {
             loop {
-                let mut improved = false;
-                // Clone to avoid borrow issues; degree ≤ m_max0.
-                let neigh = self.links[layer][curr].clone();
-                for nb in neigh {
-                    let d = data.distance_to(nb, query);
-                    if d < curr_dist {
-                        curr = nb;
-                        curr_dist = d;
-                        improved = true;
+                let from = curr.id;
+                for link in &self.links[layer][from] {
+                    let d = s.distance(data, link.id(), query);
+                    if d < curr.dist {
+                        curr = Neighbor::new(d, link.id());
                     }
                 }
-                if !improved {
+                if curr.id == from {
                     break;
                 }
             }
         }
 
-        // Beam search and connect at each layer from min(node_level, entry_level) down.
-        let mut entry_points = vec![Neighbor::new(curr_dist, curr)];
+        // Beam search and connect at each layer from min(node_level,
+        // entry_level) down; each layer's beam seeds the next.
+        s.found.clear();
+        s.found.push(curr);
         for layer in (0..=node_level.min(entry_level)).rev() {
-            let found = self.search_layer_build(data, query, &entry_points, layer, visited);
-            let m_max = if layer == 0 {
-                self.params.m_max0
-            } else {
-                self.params.m
-            };
-            let selected = self.select_neighbors(data, node, &found, self.params.m);
-            for &nb in &selected {
-                self.links[layer][node].push(nb);
-                self.links[layer][nb].push(node);
-                if self.links[layer][nb].len() > m_max {
-                    // Shrink with the same heuristic.
-                    let cands: Vec<Neighbor> = self.links[layer][nb]
-                        .iter()
-                        .map(|&x| Neighbor::new(data.distance_to(x, data.vector(nb)), x))
-                        .collect();
-                    let kept = self.select_neighbors(data, nb, &cands, m_max);
-                    self.links[layer][nb] = kept;
+            self.search_layer_build(data, query, layer, s);
+            let own = &mut self.links[layer][node];
+            select_neighbors(data, node, &s.found, self.params.m, own, &mut s.distances);
+            for i in 0..self.links[layer][node].len() {
+                let link = self.links[layer][node][i];
+                let back = Neighbor::new(link.dist, node);
+                let list = &mut self.links[layer][link.id()];
+                if list.len() < self.params.m_max(layer) {
+                    list.push(Link::new(back));
+                } else {
+                    // Shrink with the same heuristic, over the full list
+                    // and the new link, so the list never outgrows its
+                    // bound (nor its allocation).
+                    s.pool_links(list);
+                    s.pool.push(back);
+                    self.relink(data, layer, link.id(), s);
                 }
             }
-            entry_points = found;
         }
     }
 
-    /// Construction-time beam search on one layer with exact distances.
+    /// Construction-time beam search on one layer with exact distances,
+    /// from the entry points in `s.found`. Leaves the `ef_construction`
+    /// nearest nodes found in `s.found`, closest first.
     fn search_layer_build(
         &self,
         data: &Dataset,
         query: &[f32],
-        entries: &[Neighbor],
         layer: usize,
-        visited: &mut VisitedSet,
-    ) -> Vec<Neighbor> {
-        visited.clear();
-        let ef = self.params.ef_construction;
-        let mut candidates = MinDistHeap::new();
-        let mut results = MaxDistHeap::new(ef);
-        for &e in entries {
-            if visited.insert(e.id) {
-                candidates.push(e);
-                results.push(e);
+        s: &mut BuildScratch,
+    ) {
+        s.visited.clear();
+        s.candidates.clear();
+        s.results.reset(self.params.ef_construction);
+        for &e in &s.found {
+            if s.visited.insert(e.id) {
+                s.candidates.push(e);
+                s.results.push(e);
             }
         }
-        while let Some(c) = candidates.pop() {
-            if c.dist > results.threshold() {
+        while let Some(c) = s.candidates.pop() {
+            if c.dist > s.results.threshold() {
                 break;
             }
-            for &nb in &self.links[layer][c.id] {
-                if !visited.insert(nb) {
+            for link in &self.links[layer][c.id] {
+                let nb = link.id();
+                if !s.visited.insert(nb) {
                     continue;
                 }
-                let d = data.distance_to(nb, query);
-                if d < results.threshold() {
+                let d = s.distance(data, nb, query);
+                if d < s.results.threshold() {
                     let n = Neighbor::new(d, nb);
-                    candidates.push(n);
-                    results.push(n);
+                    s.candidates.push(n);
+                    s.results.push(n);
                 }
             }
         }
-        results.into_sorted()
+        s.results.drain_sorted_into(&mut s.found);
     }
 
-    /// Malkov's distance-based neighbor selection heuristic: take
-    /// candidates in ascending distance, keeping one only if it is closer
-    /// to the new node than to every already-kept neighbor (encourages
-    /// diverse directions).
-    fn select_neighbors(
-        &self,
-        data: &Dataset,
-        node: usize,
-        candidates: &[Neighbor],
-        m: usize,
-    ) -> Vec<usize> {
-        let mut sorted: Vec<Neighbor> = candidates.to_vec();
-        sorted.sort();
-        let mut kept: Vec<usize> = Vec::with_capacity(m);
-        for c in &sorted {
-            if c.id == node {
-                continue;
-            }
-            if kept.len() >= m {
-                break;
-            }
-            let c_vec = data.vector(c.id);
-            let d_cq = data.metric().distance(c_vec, data.vector(node));
-            let ok = kept
-                .iter()
-                .all(|&r| d_cq < data.metric().distance(c_vec, data.vector(r)));
-            if ok {
-                kept.push(c.id);
-            }
-        }
-        // Fill remaining slots with nearest unkept candidates (hnswlib's
-        // keepPruned behavior) so low-degree nodes stay connected.
-        if kept.len() < m {
-            for c in &sorted {
-                if kept.len() >= m {
-                    break;
-                }
-                if c.id != node && !kept.contains(&c.id) {
-                    kept.push(c.id);
-                }
-            }
-        }
-        kept
+    /// Replace `node`'s links on `layer` by Malkov's selection over
+    /// `s.pool`: its links, each carrying its stored distance, plus any
+    /// candidates the caller appended with theirs. The overflow shrink and
+    /// the bridging of an unlinked node both go through here.
+    fn relink(&mut self, data: &Dataset, layer: usize, node: usize, s: &mut BuildScratch) {
+        s.pool.sort();
+        let links = &mut self.links[layer][node];
+        links.clear();
+        let m_max = self.params.m_max(layer);
+        select_neighbors(data, node, &s.pool, m_max, links, &mut s.distances);
     }
 
     /// Search for the `k` nearest neighbors with beam width `ef` (the
@@ -395,7 +441,7 @@ impl Hnsw {
             loop {
                 let mut improved = false;
                 let mut hop = Hop::new(HopKind::UpperLayer);
-                for &nb in &self.links[layer][curr] {
+                for nb in self.links[layer][curr].iter().map(Link::id) {
                     let out = oracle.evaluate(nb, query, curr_dist);
                     let d = out.distance().unwrap_or(f32::INFINITY);
                     let accepted = d < curr_dist;
@@ -440,7 +486,7 @@ impl Hnsw {
                 break;
             }
             let mut hop = Hop::new(HopKind::BaseLayer);
-            for &nb in &self.links[0][c.id] {
+            for nb in self.links[0][c.id].iter().map(Link::id) {
                 if !visited.insert(nb) {
                     continue;
                 }
@@ -503,7 +549,7 @@ impl Hnsw {
     }
 
     /// Neighbors of `node` on `layer`.
-    pub fn neighbors(&self, layer: usize, node: usize) -> &[usize] {
+    pub fn neighbors(&self, layer: usize, node: usize) -> &[Link] {
         &self.links[layer][node]
     }
 
@@ -526,8 +572,8 @@ impl Hnsw {
     /// already be appended to `data` — at the pre-sampled `level` (see
     /// [`HnswParams::sample_level`]). Runs the same descent / beam /
     /// neighbor-selection pipeline as [`Hnsw::build`], so a streamed
-    /// index obeys the same degree bounds as a rebuilt one. Returns the
-    /// new node's id.
+    /// index obeys the same degree bounds as a rebuilt one. `scratch` is
+    /// grown to cover the new id. Returns the new node's id.
     ///
     /// # Panics
     ///
@@ -537,7 +583,7 @@ impl Hnsw {
         &mut self,
         data: &Dataset,
         level: usize,
-        visited: &mut VisitedSet,
+        scratch: &mut BuildScratch,
     ) -> usize {
         assert_eq!(
             data.len(),
@@ -552,11 +598,12 @@ impl Hnsw {
         for layer in self.links.iter_mut() {
             layer.resize(node + 1, Vec::new());
         }
-        visited.grow(node + 1);
-        self.insert(data, node, visited);
+        scratch.visited.grow(node + 1);
+        self.insert(data, node, scratch);
         if level > self.levels[self.entry] {
             self.entry = node;
         }
+        record_distances(scratch);
         node
     }
 
@@ -565,6 +612,8 @@ impl Hnsw {
     /// selection heuristic over each affected node's surviving links plus
     /// the removed node's other neighbors. `alive[i]` marks ids that are
     /// still servable (bridges never route through other tombstones).
+    /// Only the bridge candidates' distances are computed; the surviving
+    /// links carry theirs.
     ///
     /// The node's id stays allocated — its vector remains in `data` so
     /// ids are stable — but it becomes unreachable from any search.
@@ -573,21 +622,23 @@ impl Hnsw {
     ///
     /// Panics if `node` is the entry point and no alive node remains to
     /// take over as entry.
-    pub fn unlink(&mut self, data: &Dataset, node: usize, alive: &[bool]) {
+    pub fn unlink(
+        &mut self,
+        data: &Dataset,
+        node: usize,
+        alive: &[bool],
+        scratch: &mut BuildScratch,
+    ) {
         let node_level = self.levels[node];
+        let mut affected: Vec<usize> = Vec::new();
         for layer in 0..=node_level {
             let own = std::mem::take(&mut self.links[layer][node]);
-            let m_max = if layer == 0 {
-                self.params.m_max0
-            } else {
-                self.params.m
-            };
             // The graph is directed after overflow shrinking, so the
             // nodes linking *to* `node` are a superset of its own list:
             // sweep the whole layer (compaction-time cost, not serve-time).
-            let mut affected: Vec<usize> = Vec::new();
+            affected.clear();
             for (i, lnk) in self.links[layer].iter_mut().enumerate() {
-                if let Some(pos) = lnk.iter().position(|&x| x == node) {
+                if let Some(pos) = lnk.iter().position(|l| l.id() == node) {
                     lnk.remove(pos);
                     affected.push(i);
                 }
@@ -598,20 +649,18 @@ impl Hnsw {
                 }
                 // Bridge candidates: surviving links plus the removed
                 // node's other (alive) neighbors.
-                let mut pool: Vec<usize> = self.links[layer][nb].clone();
-                for &x in &own {
-                    if x != nb && alive[x] && !pool.contains(&x) {
-                        pool.push(x);
+                scratch.pool_links(&self.links[layer][nb]);
+                let nb_vec = data.vector(nb);
+                for x in own.iter().map(Link::id) {
+                    if x != nb && alive[x] && !scratch.pool.iter().any(|c| c.id == x) {
+                        let d = scratch.distance(data, x, nb_vec);
+                        scratch.pool.push(Neighbor::new(d, x));
                     }
                 }
-                let nb_vec = data.vector(nb);
-                let cands: Vec<Neighbor> = pool
-                    .iter()
-                    .map(|&x| Neighbor::new(data.distance_to(x, nb_vec), x))
-                    .collect();
-                self.links[layer][nb] = self.select_neighbors(data, nb, &cands, m_max);
+                self.relink(data, layer, nb, scratch);
             }
         }
+        record_distances(scratch);
         if node == self.entry {
             let mut best: Option<usize> = None;
             for (i, &ok) in alive.iter().enumerate() {
@@ -631,33 +680,103 @@ impl Hnsw {
         }
     }
 
-    /// Reassemble an index from snapshot parts.
+    /// Reassemble an index over `data` from snapshot parts: `links[layer]
+    /// [node]` lists neighbor ids, and each link's distance is recomputed
+    /// here, once.
     ///
     /// # Panics
     ///
     /// Panics if the parts are structurally inconsistent (layer widths,
-    /// entry out of range, entry below the top occupied layer).
+    /// node count against `data`, a link or the entry out of range, entry
+    /// below the top occupied layer).
     pub fn from_parts(
+        data: &Dataset,
         links: Vec<Vec<Vec<usize>>>,
         levels: Vec<usize>,
         entry: usize,
         params: HnswParams,
     ) -> Self {
-        assert!(!levels.is_empty(), "snapshot holds an empty HNSW");
+        let n = levels.len();
+        assert!(n > 0, "snapshot holds an empty HNSW");
+        assert_eq!(n, data.len(), "snapshot HNSW does not cover the dataset");
         assert!(
-            links.iter().all(|layer| layer.len() == levels.len()),
+            links.iter().all(|layer| layer.len() == n),
             "snapshot layer width does not match node count"
         );
-        assert!(entry < levels.len(), "snapshot entry point out of range");
+        assert!(entry < n, "snapshot entry point out of range");
         assert!(
             levels[entry] < links.len(),
             "snapshot entry level exceeds layer count"
         );
+        let links = links
+            .into_iter()
+            .map(|layer| {
+                layer
+                    .into_iter()
+                    .enumerate()
+                    .map(|(node, ids)| {
+                        let v = data.vector(node);
+                        ids.into_iter()
+                            .map(|id| {
+                                assert!(id < n, "snapshot link {id} out of range");
+                                Link::new(Neighbor::new(data.distance_to(id, v), id))
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         Hnsw {
             links,
             levels,
             entry,
             params,
+        }
+    }
+}
+
+/// Malkov's distance-based neighbor selection heuristic: take the
+/// candidates in ascending distance, keeping one only if it is closer to
+/// `node` than to every already-kept neighbor (encourages diverse
+/// directions). `sorted` is closest first and each candidate carries its
+/// distance to `node`, so only the candidate-to-kept distances are
+/// computed; `distances` counts them. Appends at most `m` links to `kept`,
+/// which must start empty.
+fn select_neighbors(
+    data: &Dataset,
+    node: usize,
+    sorted: &[Neighbor],
+    m: usize,
+    kept: &mut Vec<Link>,
+    distances: &mut u64,
+) {
+    debug_assert!(kept.is_empty() && sorted.windows(2).all(|w| w[0] <= w[1]));
+    for c in sorted {
+        if c.id == node {
+            continue;
+        }
+        if kept.len() >= m {
+            break;
+        }
+        let c_vec = data.vector(c.id);
+        let ok = kept.iter().all(|r| {
+            *distances += 1;
+            c.dist < data.metric().distance(c_vec, data.vector(r.id()))
+        });
+        if ok {
+            kept.push(Link::new(*c));
+        }
+    }
+    // Fill remaining slots with nearest unkept candidates (hnswlib's
+    // keepPruned behavior) so low-degree nodes stay connected.
+    if kept.len() < m {
+        for c in sorted {
+            if kept.len() >= m {
+                break;
+            }
+            if c.id != node && !kept.iter().any(|r| r.id() == c.id) {
+                kept.push(Link::new(*c));
+            }
         }
     }
 }
@@ -694,22 +813,66 @@ mod tests {
 
     #[test]
     fn level_range_check_rejects_unbounded_multipliers() {
-        assert!(HnswParams::default().check_levels().is_ok());
+        assert!(HnswParams::default().validate().is_ok());
         let with = |m, level_mult| HnswParams {
             m,
             level_mult,
             ..HnswParams::default()
         };
         // 1 / ln 2 draws at most level 51.
-        assert!(with(2, None).check_levels().is_ok());
+        assert!(with(2, None).validate().is_ok());
         for bad in [
             with(1, None),
             with(16, Some(-1.0)),
             with(16, Some(f64::NAN)),
             with(16, Some(2.0)),
         ] {
-            let e = bad.check_levels().expect_err("out-of-range levels");
+            let e = bad.validate().expect_err("out-of-range levels");
             assert!(e.contains("level multiplier"), "{e}");
+        }
+    }
+
+    #[test]
+    fn zero_degrees_and_beam_widths_are_rejected() {
+        for (name, bad) in [
+            (
+                "m",
+                HnswParams {
+                    m: 0,
+                    ..HnswParams::default()
+                },
+            ),
+            (
+                "m_max0",
+                HnswParams {
+                    m_max0: 0,
+                    ..HnswParams::default()
+                },
+            ),
+            (
+                "ef_construction",
+                HnswParams {
+                    ef_construction: 0,
+                    ..HnswParams::default()
+                },
+            ),
+        ] {
+            let e = bad.validate().expect_err("zero parameter");
+            assert_eq!(e, format!("hnsw {name} must be positive"));
+        }
+    }
+
+    #[test]
+    fn links_carry_their_distance_to_the_holder() {
+        let (data, _) = SynthSpec::deep().scaled(300, 1).generate();
+        let hnsw = Hnsw::build(&data, HnswParams::quick());
+        for layer in 0..hnsw.layer_count() {
+            for node in 0..hnsw.len() {
+                for link in hnsw.neighbors(layer, node) {
+                    let d = data.distance_to(node, data.vector(link.id()));
+                    assert_eq!(link.dist().to_bits(), d.to_bits());
+                }
+            }
         }
     }
 
@@ -827,12 +990,12 @@ mod tests {
         let mut data = prefix_of(&full, 400);
         let mut hnsw = Hnsw::build(&data, p.clone());
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut visited = VisitedSet::new(data.len());
+        let mut scratch = BuildScratch::new(data.len());
         for i in 400..500 {
             let id = data.push_vector(full.vector(i));
             assert_eq!(id, i);
             let level = p.sample_level(&mut rng);
-            assert_eq!(hnsw.insert_point(&data, level, &mut visited), i);
+            assert_eq!(hnsw.insert_point(&data, level, &mut scratch), i);
         }
         assert_eq!(hnsw.len(), 500);
         // Same degree bounds as a fresh build.
@@ -863,12 +1026,12 @@ mod tests {
         let victim = 123;
         let mut alive = vec![true; data.len()];
         alive[victim] = false;
-        hnsw.unlink(&data, victim, &alive);
+        hnsw.unlink(&data, victim, &alive, &mut BuildScratch::default());
         for layer in 0..hnsw.layer_count() {
             assert!(hnsw.neighbors(layer, victim).is_empty());
             for node in 0..data.len() {
                 assert!(
-                    !hnsw.neighbors(layer, node).contains(&victim),
+                    !hnsw.neighbors(layer, node).iter().any(|l| l.id() == victim),
                     "layer {layer} node {node} still links the unlinked node"
                 );
             }
@@ -885,7 +1048,7 @@ mod tests {
         let e = hnsw.entry_point();
         let mut alive = vec![true; data.len()];
         alive[e] = false;
-        hnsw.unlink(&data, e, &alive);
+        hnsw.unlink(&data, e, &alive, &mut BuildScratch::default());
         assert_ne!(hnsw.entry_point(), e);
         let probe = (e + 1) % data.len();
         let mut o = ExactOracle::new(&data);
@@ -898,9 +1061,14 @@ mod tests {
         let (data, queries) = SynthSpec::sift().scaled(300, 2).generate();
         let a = Hnsw::build(&data, HnswParams::quick());
         let links: Vec<Vec<Vec<usize>>> = (0..a.layer_count())
-            .map(|l| (0..a.len()).map(|n| a.neighbors(l, n).to_vec()).collect())
+            .map(|l| {
+                (0..a.len())
+                    .map(|n| a.neighbors(l, n).iter().map(Link::id).collect())
+                    .collect()
+            })
             .collect();
         let b = Hnsw::from_parts(
+            &data,
             links,
             a.levels().to_vec(),
             a.entry_point(),
@@ -912,6 +1080,12 @@ mod tests {
             a.search(&queries[0], 5, 50, &mut oa).neighbors(),
             b.search(&queries[0], 5, 50, &mut ob).neighbors()
         );
+        // The recomputed link distances equal the ones construction kept.
+        for l in 0..a.layer_count() {
+            for n in 0..a.len() {
+                assert_eq!(a.neighbors(l, n), b.neighbors(l, n));
+            }
+        }
     }
 
     #[test]

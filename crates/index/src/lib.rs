@@ -30,9 +30,9 @@ pub mod trace;
 pub mod visited;
 
 pub use heap::{MaxDistHeap, MinDistHeap, Neighbor};
-pub use hnsw::{Hnsw, HnswParams, SearchResult};
+pub use hnsw::{construction_distances, hnsw_builds, Hnsw, HnswParams, Link, SearchResult};
 pub use ivf::{Ivf, IvfParams};
 pub use oracle::{DistanceOracle, DistanceOutcome, ExactOracle};
-pub use scratch::SearchScratch;
+pub use scratch::{BuildScratch, SearchScratch};
 pub use trace::{Eval, Hop, HopKind, SearchTrace};
 pub use visited::VisitedSet;

@@ -1,13 +1,77 @@
-//! Reusable per-search working memory.
+//! Reusable per-search and per-construction working memory.
 //!
 //! One beam search needs a visited set sized to the database, two heaps,
 //! and (for IVF) a centroid ordering buffer. Allocating — and for the
 //! visited set, zeroing — all of them per query dominates host-side
 //! search time on small-k workloads; a [`SearchScratch`] threaded through
-//! consecutive searches amortizes that setup to an O(1) epoch bump.
+//! consecutive searches amortizes that setup to an O(1) epoch bump. A
+//! [`BuildScratch`] does the same for every layer of every HNSW insert.
+
+use ansmet_vecdata::Dataset;
 
 use crate::heap::{MaxDistHeap, MinDistHeap, Neighbor};
+use crate::hnsw::Link;
 use crate::visited::VisitedSet;
+
+/// Reusable buffers for HNSW construction: [`Hnsw::build`](crate::Hnsw::build),
+/// [`Hnsw::insert_point`](crate::Hnsw::insert_point) and
+/// [`Hnsw::unlink`](crate::Hnsw::unlink).
+///
+/// The greedy descent, the beam search and the neighbor selection of
+/// every layer of every insert run on these buffers, so construction
+/// allocates only the link lists it keeps. The heaps grow with use: a
+/// large `ef_construction` reserves nothing up front.
+#[derive(Debug, Clone)]
+pub struct BuildScratch {
+    /// Visited markers for ids `0..n` (epoch-cleared per layer search).
+    pub(crate) visited: VisitedSet,
+    /// The beam search's candidate set.
+    pub(crate) candidates: MinDistHeap,
+    /// The beam search's bounded result set.
+    pub(crate) results: MaxDistHeap,
+    /// The last beam's results, closest first: the next layer's entry
+    /// points and the new node's neighbor candidates.
+    pub(crate) found: Vec<Neighbor>,
+    /// Candidates of a re-selection over one node's links, each carrying
+    /// its distance to that node.
+    pub(crate) pool: Vec<Neighbor>,
+    /// Distances computed since the last flush to the process-wide count.
+    pub(crate) distances: u64,
+}
+
+impl BuildScratch {
+    /// Create a scratch for an index of up to `n` vectors (grown by
+    /// [`Hnsw::insert_point`](crate::Hnsw::insert_point) as ids are
+    /// appended).
+    pub fn new(n: usize) -> Self {
+        BuildScratch {
+            visited: VisitedSet::new(n),
+            candidates: MinDistHeap::new(),
+            results: MaxDistHeap::new(1),
+            found: Vec::new(),
+            pool: Vec::new(),
+            distances: 0,
+        }
+    }
+
+    /// The distance from vector `id` of `data` to `query`, counted.
+    pub(crate) fn distance(&mut self, data: &Dataset, id: usize, query: &[f32]) -> f32 {
+        self.distances += 1;
+        data.distance_to(id, query)
+    }
+
+    /// Start a re-selection pool from one node's links.
+    pub(crate) fn pool_links(&mut self, links: &[Link]) {
+        self.pool.clear();
+        self.pool.extend(links.iter().map(Link::neighbor));
+    }
+}
+
+impl Default for BuildScratch {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
 
 /// Reusable buffers for [`Hnsw::search_with`](crate::Hnsw::search_with)
 /// and [`Ivf::search_traced_with`](crate::Ivf::search_traced_with).

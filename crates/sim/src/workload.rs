@@ -135,9 +135,15 @@ impl Workload {
         Self::build(data, queries, k, Some(ef), IndexKind::Hnsw)
     }
 
-    /// Index `data`, then compute ground truth, the sampling profile and
+    /// Index `data`, compute ground truth and the sampling profile, then
     /// the traces. With `ef: None` the beam width doubles from
     /// `max(k, 10)` until recall@k reaches 80 %.
+    ///
+    /// When [`crate::parallel::default_threads`] is above 1, ground truth
+    /// and the profile are computed on a second thread while this one
+    /// builds the index; at 1 every step runs here, one after the other.
+    /// Each step is deterministic and reads only `data` and `queries`, so
+    /// both orders prepare the same workload.
     fn build(
         data: Dataset,
         queries: Vec<Vec<f32>>,
@@ -145,27 +151,42 @@ impl Workload {
         ef: Option<usize>,
         kind: IndexKind,
     ) -> Workload {
-        let t0 = std::time::Instant::now();
-        let (hnsw, ivf) = match kind {
-            IndexKind::Hnsw => {
-                let params = if data.len() <= 5_000 {
-                    HnswParams {
-                        ef_construction: 120,
-                        ..HnswParams::default()
-                    }
-                } else {
-                    HnswParams::default()
-                };
-                (Some(Hnsw::build(&data, params)), None)
-            }
-            IndexKind::Ivf => (None, Some(Ivf::build(&data, IvfParams::default()))),
+        let index = || {
+            let t0 = std::time::Instant::now();
+            let built = match kind {
+                IndexKind::Hnsw => {
+                    let params = if data.len() <= 5_000 {
+                        HnswParams {
+                            ef_construction: 120,
+                            ..HnswParams::default()
+                        }
+                    } else {
+                        HnswParams::default()
+                    };
+                    (Some(Hnsw::build(&data, params)), None)
+                }
+                IndexKind::Ivf => (None, Some(Ivf::build(&data, IvfParams::default()))),
+            };
+            (built, t0.elapsed().as_secs_f64())
         };
-        let graph_build_secs = t0.elapsed().as_secs_f64();
-
-        let ground_truth = GroundTruth::compute(&data, &queries, k);
-        let n_samples = 100.min(data.len() / 2).max(2);
-        let profile =
-            SamplingProfile::build(&data, &SamplingConfig::default().with_samples(n_samples));
+        let truth_and_profile = || {
+            let n_samples = 100.min(data.len() / 2).max(2);
+            (
+                GroundTruth::compute(&data, &queries, k),
+                SamplingProfile::build(&data, &SamplingConfig::default().with_samples(n_samples)),
+            )
+        };
+        let (((hnsw, ivf), graph_build_secs), (ground_truth, profile)) =
+            if crate::parallel::default_threads() > 1 {
+                std::thread::scope(|s| {
+                    let side = s.spawn(truth_and_profile);
+                    let built = index();
+                    let side = side.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                    (built, side)
+                })
+            } else {
+                (index(), truth_and_profile())
+            };
 
         let mut wl = Workload {
             name: data.name().to_string(),

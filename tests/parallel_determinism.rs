@@ -52,21 +52,31 @@ fn more_threads_than_queries_is_identical() {
 /// process-wide thread default. `faults` and `fig6` cover the degraded
 /// path and the headline latency comparison respectively.
 ///
-/// Both probes live in one test because `set_default_threads` is a
+/// A workload prepared with its set-up steps overlapped (thread default
+/// above 1) must equal one prepared serially.
+///
+/// All probes live in one test because `set_default_threads` is a
 /// process-wide knob and the harness runs tests concurrently.
 #[test]
 fn quick_experiments_identical_across_thread_defaults() {
     use ansmet::sim::experiment as e;
+    let spec = SynthSpec::deep().scaled(500, 4);
 
     ansmet::sim::set_default_threads(1);
     let faults_serial = e::faults(Scale::Quick);
     let fig6_serial = e::fig6(Scale::Quick, &[10]);
+    let wl_serial = Workload::prepare(&spec, 10, None);
 
     ansmet::sim::set_default_threads(4);
     let faults_parallel = e::faults(Scale::Quick);
     let fig6_parallel = e::fig6(Scale::Quick, &[10]);
+    let wl_overlapped = Workload::prepare(&spec, 10, None);
     ansmet::sim::set_default_threads(1);
 
     assert_eq!(faults_serial, faults_parallel, "faults report diverged");
     assert_eq!(fig6_serial, fig6_parallel, "fig6 report diverged");
+    let (a, b) = (&wl_serial, &wl_overlapped);
+    assert_eq!(a.ground_truth, b.ground_truth, "ground truth diverged");
+    assert_eq!(a.profile, b.profile, "sampling profile diverged");
+    assert_eq!((a.ef, &a.traces, &a.results), (b.ef, &b.traces, &b.results));
 }
