@@ -32,8 +32,8 @@ fn bench_search(c: &mut Criterion) {
     });
     group.bench_function("et-oracle", |b| {
         b.iter(|| {
-            let mut o = EtOracle::new(&engine);
             for q in &queries {
+                let mut o = EtOracle::new(&engine, q).expect("query matches the data");
                 black_box(hnsw.search(black_box(q), 10, 60, &mut o));
             }
         })

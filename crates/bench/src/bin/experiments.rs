@@ -35,6 +35,10 @@ struct TimingRecord {
     hnsw_builds: u64,
     /// Distances HNSW construction computed (builds, inserts, unlinks).
     construction_distances: u64,
+    /// Comparisons the early-termination engine walked.
+    et_evaluations: u64,
+    /// Lower bounds those walks and prepared queries computed.
+    et_bounds: u64,
 }
 
 /// Hand-rolled JSON (the repo deliberately carries no serde dependency).
@@ -59,7 +63,8 @@ fn timing_json(scale: Scale, threads: usize, records: &[TimingRecord]) -> String
             s,
             "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"queries_simulated\": {}, \
              \"queries_per_sec\": {}, \"cycles_simulated\": {}, \"cycles_skipped\": {}, \
-             \"comparisons_planned\": {}, \"hnsw_builds\": {}, \"construction_distances\": {}}}",
+             \"comparisons_planned\": {}, \"hnsw_builds\": {}, \"construction_distances\": {}, \
+             \"et_evaluations\": {}, \"et_bounds\": {}}}",
             r.name,
             r.seconds,
             r.queries,
@@ -68,7 +73,9 @@ fn timing_json(scale: Scale, threads: usize, records: &[TimingRecord]) -> String
             r.cycles_skipped,
             r.comparisons_planned,
             r.hnsw_builds,
-            r.construction_distances
+            r.construction_distances,
+            r.et_evaluations,
+            r.et_bounds
         );
         s.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
@@ -146,6 +153,7 @@ fn main() {
         let p0 = ansmet_sim::comparisons_planned();
         let b0 = ansmet_index::hnsw_builds();
         let d0 = ansmet_index::construction_distances();
+        let (e0, f0) = (ansmet_core::et_evaluations(), ansmet_core::et_bounds());
         match run_experiment(name, scale) {
             Some((report, artifacts)) => {
                 println!("{report}");
@@ -160,6 +168,8 @@ fn main() {
                     comparisons_planned: ansmet_sim::comparisons_planned() - p0,
                     hnsw_builds: ansmet_index::hnsw_builds() - b0,
                     construction_distances: ansmet_index::construction_distances() - d0,
+                    et_evaluations: ansmet_core::et_evaluations() - e0,
+                    et_bounds: ansmet_core::et_bounds() - f0,
                 });
                 for a in artifacts {
                     // `experiments serve --json FILE` redirects the serving

@@ -9,7 +9,9 @@
 //! tighten the ET thresholds of *still-running* shards. The timing is
 //! a single [`EventWheel`] per query — shard wakeups pop in `(cycle,
 //! shard id)` order, so the interleaving (and therefore every byte of
-//! the report) is a pure function of the inputs.
+//! the report) is a pure function of the inputs. Each visited shard
+//! prepares the query once for its engine ([`EtEngine::prepare`]) and
+//! evaluates every comparison of the visit through it.
 //!
 //! # Soundness of the tightened thresholds
 //!
@@ -29,7 +31,7 @@
 //! prunes against the current best distance, so the base layer may later
 //! accept the same vector legitimately.
 
-use ansmet_core::{EtEngine, EtScratch};
+use ansmet_core::{EtEngine, EtQuery};
 use ansmet_host::CYCLES_PER_LINE;
 use ansmet_index::{HopKind, Neighbor};
 use ansmet_obs::{EventKind, TraceSink};
@@ -226,7 +228,6 @@ pub struct Router<'a> {
     set: &'a ShardSet,
     cfg: RouterConfig,
     engines: Vec<EtEngine<'a>>,
-    scratch: EtScratch,
 }
 
 impl<'a> Router<'a> {
@@ -237,12 +238,7 @@ impl<'a> Router<'a> {
             .iter()
             .map(|s| EtEngine::new(&s.workload.data, s.et.clone()))
             .collect();
-        Router {
-            set,
-            cfg,
-            engines,
-            scratch: EtScratch::new(),
-        }
+        Router { set, cfg, engines }
     }
 
     /// The router configuration.
@@ -272,6 +268,8 @@ impl<'a> Router<'a> {
 
         let mut out = QueryOutcome::default();
         let mut runs: Vec<Option<Run>> = (0..n_shards).map(|_| None).collect();
+        // The query prepared for each shard's engine, on its first NDP hop.
+        let mut prepared: Vec<Option<EtQuery<'_, '_>>> = (0..n_shards).map(|_| None).collect();
         let mut global = GlobalTopK::new(k);
         let mut foreign: Vec<GlobalTopK> = (0..n_shards).map(|_| GlobalTopK::new(k)).collect();
         let mut wheel = EventWheel::new(0);
@@ -303,9 +301,8 @@ impl<'a> Router<'a> {
             let c = w.cycle;
             // Publish the hop that just finished: its candidates enter
             // the global top-k and every *other* shard's foreign bound.
-            let pending =
-                std::mem::take(&mut runs[s].as_mut().expect("scheduled shard has a run").pending);
-            for n in pending {
+            let run = runs[s].as_mut().expect("scheduled shard has a run");
+            for n in run.pending.drain(..) {
                 global.offer(n);
                 for (t, f) in foreign.iter_mut().enumerate() {
                     if t != s {
@@ -315,7 +312,6 @@ impl<'a> Router<'a> {
             }
             let shard = &set.shards[s];
             let trace = &shard.workload.traces[qi];
-            let run = runs[s].as_mut().expect("scheduled shard has a run");
             if run.next_hop >= trace.hops.len() {
                 // Shard visit complete: free the lane and dispatch the
                 // next ranked shard, which now sees the tightened heap.
@@ -359,26 +355,20 @@ impl<'a> Router<'a> {
                 DispatchPath::Primary | DispatchPath::Replica(_) => {
                     let mut hop_lines = 0u64;
                     let mut hop_saved = 0u64;
+                    let et = prepared[s].get_or_insert_with(|| {
+                        self.engines[s]
+                            .prepare(query)
+                            .expect("shard queries match the shard data")
+                    });
                     for eval in &hop.evals {
                         let fb = foreign[s].safe_bound();
-                        let engine = &self.engines[s];
                         // A tightened evaluation also prices the trace
                         // threshold, from the same walk of its bounds.
                         let (threshold_used, cost, independent) = if fb < eval.threshold {
-                            let [cost, baseline] = engine.evaluate_pair_with(
-                                eval.id,
-                                query,
-                                [fb, eval.threshold],
-                                &mut self.scratch,
-                            );
+                            let [cost, baseline] = et.evaluate_pair(eval.id, [fb, eval.threshold]);
                             (fb, cost, baseline.total_lines() as u64)
                         } else {
-                            let cost = engine.evaluate_with(
-                                eval.id,
-                                query,
-                                eval.threshold,
-                                &mut self.scratch,
-                            );
+                            let cost = et.evaluate(eval.id, eval.threshold);
                             (eval.threshold, cost, cost.total_lines() as u64)
                         };
                         let with_bound = cost.total_lines() as u64;
@@ -421,13 +411,17 @@ impl<'a> Router<'a> {
 
         // Merge the visited shards' functional partials; verify against
         // the reference merge over *all* shards (soundness (c): ball
-        // skips must never change the answer).
-        let visited_partials: Vec<Vec<Neighbor>> =
-            visited.iter().map(|&s| set.shard_partial(s, qi)).collect();
-        let merged = merge_partials(k, &visited_partials);
-        let all_partials: Vec<Vec<Neighbor>> =
+        // skips must never change the answer). Each shard's partial is
+        // computed once; the merge does not depend on order.
+        let mut partials: Vec<Vec<Neighbor>> =
             (0..n_shards).map(|s| set.shard_partial(s, qi)).collect();
-        if merged != merge_partials(k, &all_partials) {
+        let reference = merge_partials(k, &partials);
+        let visited_partials: Vec<Vec<Neighbor>> = visited
+            .iter()
+            .map(|&s| std::mem::take(&mut partials[s]))
+            .collect();
+        let merged = merge_partials(k, &visited_partials);
+        if merged != reference {
             out.et_mismatches += 1;
         }
         // Soundness (b): a pruned comparison must never be a member of
@@ -684,6 +678,115 @@ mod tests {
         );
         assert_eq!(sink.saved_lines, saved, "counter mirrors the outcome");
         assert!(sink.inflight_samples > 0, "queue depth is sampled");
+    }
+
+    /// Every field of every `QueryOutcome`, in query order.
+    fn outcomes_fingerprint(set: &ShardSet, fleet: &mut ClusterFleet) -> u64 {
+        let mut router = Router::new(set, RouterConfig::default());
+        let mut fp = ansmet_obs::Fnv64::new();
+        for qi in 0..set.queries.len() {
+            let o = router.route(qi, fleet, &mut NoopSink);
+            fleet.advance(o.latency_cycles);
+            for n in &o.merged {
+                fp.write_u64(n.id as u64);
+                fp.write_u64(u64::from(n.dist.to_bits()));
+            }
+            for v in [
+                o.latency_cycles,
+                o.shards_visited as u64,
+                o.shards_skipped as u64,
+                o.evals,
+                o.pruned_evals,
+                o.ndp_lines_with_bound,
+                o.ndp_lines_independent,
+                o.host_lines,
+                o.replica_dispatches,
+                o.host_dispatches,
+                o.penalty_cycles,
+                o.et_mismatches,
+            ] {
+                fp.write_u64(v);
+            }
+        }
+        fp.finish()
+    }
+
+    /// The router's outcomes equal those of the router that evaluated
+    /// every comparison from the query slice, before each visited shard
+    /// prepared its query: the fingerprints were recorded from that
+    /// router. The cases cover L2 and inner product, plain, normal and
+    /// outlier vectors, hash and k-means routing, and a dark shard.
+    #[test]
+    fn outcomes_match_the_query_slice_router() {
+        let cases = [
+            (
+                "sift hash 3",
+                SynthSpec::sift(),
+                3,
+                RoutingPolicy::Hash,
+                false,
+                11_715_242_259_234_116_552,
+            ),
+            (
+                "sift kmeans 4",
+                SynthSpec::sift(),
+                4,
+                RoutingPolicy::KMeans,
+                false,
+                16_442_580_496_009_629_177,
+            ),
+            (
+                "sift hash 4 storm",
+                SynthSpec::sift(),
+                4,
+                RoutingPolicy::Hash,
+                true,
+                8_629_489_785_760_265_015,
+            ),
+            (
+                "deep kmeans 4",
+                SynthSpec::deep(),
+                4,
+                RoutingPolicy::KMeans,
+                false,
+                15_639_543_265_690_072_073,
+            ),
+            (
+                "spacev hash 4",
+                SynthSpec::spacev(),
+                4,
+                RoutingPolicy::Hash,
+                false,
+                15_718_622_983_828_664_940,
+            ),
+            (
+                "glove hash 4",
+                SynthSpec::glove(),
+                4,
+                RoutingPolicy::Hash,
+                false,
+                10_127_829_938_966_374_086,
+            ),
+        ];
+        let mut prefixed = 0;
+        for (name, spec, shards, policy, storm, want) in cases {
+            let (data, queries) = spec.scaled(400, 6).generate();
+            let set = ShardSet::build(&data, &queries, 10, 40, shards, policy, 7);
+            prefixed += set
+                .shards
+                .iter()
+                .filter(|s| s.et.prefix.as_ref().is_some_and(|p| !p.is_disabled()))
+                .count();
+            let mut fleet = if storm {
+                let outage = StormPlan::single_group_outage(0, 0, u64::MAX);
+                ClusterFleet::new(shards, crate::serving::FleetConfig::default(), outage)
+            } else {
+                ClusterFleet::healthy(shards)
+            };
+            let got = outcomes_fingerprint(&set, &mut fleet);
+            assert_eq!(got, want, "{name}");
+        }
+        assert!(prefixed > 0, "some shard eliminates a common prefix");
     }
 
     #[test]

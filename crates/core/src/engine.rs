@@ -12,12 +12,19 @@
 //! and in-bound results always end with the exact distance (re-checking an
 //! uncompressed backup when common-prefix elimination dropped outlier
 //! bits).
+//!
+//! A caller that walks many comparisons of one query prepares the query
+//! once ([`EtEngine::prepare`]) and evaluates through the [`EtQuery`]: the
+//! bound with no payload fetched is then computed once per query instead
+//! of once per comparison, for every vector that shares it.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ansmet_vecdata::Dataset;
 
 use crate::encode::to_sortable;
+use crate::error::EtError;
 use crate::kernel::{dispatch, element, missing_mask, Bound, Elem};
 use crate::observe::{EtObserver, NoopEtObserver};
 use crate::prefix::PrefixSpec;
@@ -118,12 +125,43 @@ impl EvalCost {
     }
 }
 
+static ET_EVALUATIONS: AtomicU64 = AtomicU64::new(0);
+static ET_BOUNDS: AtomicU64 = AtomicU64::new(0);
+
+/// Comparisons the engine walked since process start: one per evaluation,
+/// and one per two-threshold evaluation
+/// ([`EtEngine::evaluate_pair_with`]), which walks once. Each
+/// [`EtScratch`] (and each [`EtQuery`], which owns one) adds its tally
+/// when it is dropped, so the shared total is touched once per scratch,
+/// not once per comparison of a caller that reuses one.
+pub fn et_evaluations() -> u64 {
+    ET_EVALUATIONS.load(Ordering::Relaxed)
+}
+
+/// Lower bounds the engine computed since process start: each bound with
+/// no payload fetched that a walk computed from its vector's elements or
+/// that [`EtEngine::prepare`] computed for a query, and each line a walk
+/// refined. A walk that starts from a prepared query's contributions
+/// computes no bound for that start. Tallied like [`et_evaluations`].
+pub fn et_bounds() -> u64 {
+    ET_BOUNDS.load(Ordering::Relaxed)
+}
+
+/// Comparisons walked and bounds computed through one scratch.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    evaluations: u64,
+    bounds: u64,
+}
+
 /// Reusable buffers for [`EtEngine`] evaluations.
 ///
 /// One comparison needs per-dimension contribution arrays and (for
 /// sub-vector ranges) a line plan of the sub-range. Allocating them per
 /// comparison dominates the replay's host time; threading one scratch
 /// through a query's thousands of evaluations amortizes the cost to zero.
+/// The scratch also tallies the work of the walks it serves
+/// ([`et_evaluations`], [`et_bounds`]).
 #[derive(Debug, Default)]
 pub struct EtScratch {
     /// Per-dimension lower-bound contributions (f64, as in the engine).
@@ -133,12 +171,27 @@ pub struct EtScratch {
     fresh: Vec<f64>,
     /// Sub-range line plan buffer.
     subplan: Vec<LinePlan>,
+    /// Work not yet added to the process-wide totals.
+    tally: Tally,
 }
 
 impl EtScratch {
     /// Create an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+impl Drop for EtScratch {
+    fn drop(&mut self) {
+        let Tally {
+            evaluations,
+            bounds,
+        } = self.tally;
+        if evaluations > 0 || bounds > 0 {
+            ET_EVALUATIONS.fetch_add(evaluations, Ordering::Relaxed);
+            ET_BOUNDS.fetch_add(bounds, Ordering::Relaxed);
+        }
     }
 }
 
@@ -154,6 +207,83 @@ fn sum4(xs: &[f64]) -> f64 {
     }
     let tail: f64 = it.remainder().iter().sum();
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+/// A bound as its two running parts: the sum of the finite contributions
+/// and the count of −∞ ones.
+#[derive(Debug, Default, Clone, Copy)]
+struct Sums {
+    finite: f64,
+    unbounded: usize,
+}
+
+impl Sums {
+    /// The parts of a walk's first bound over `contribs`: `sum4` when
+    /// every contribution is finite, otherwise the finite ones in
+    /// dimension order. A metric that is never unbounded skips the count.
+    fn of<M: Bound>(contribs: &[f64]) -> Sums {
+        let unbounded = if M::NEVER_UNBOUNDED {
+            0
+        } else {
+            contribs.iter().filter(|&&c| c == f64::NEG_INFINITY).count()
+        };
+        let finite = if unbounded == 0 {
+            sum4(contribs)
+        } else {
+            contribs
+                .iter()
+                .filter(|&&c| c != f64::NEG_INFINITY)
+                .sum::<f64>()
+        };
+        Sums { finite, unbounded }
+    }
+
+    fn bound(self) -> f64 {
+        if self.unbounded > 0 {
+            f64::NEG_INFINITY
+        } else {
+            self.finite
+        }
+    }
+}
+
+/// What every plain or normal-format comparison of one query starts from:
+/// each dimension's contribution with no payload fetched, and their sums
+/// over the full vector.
+#[derive(Debug)]
+struct Start {
+    contribs: Vec<f64>,
+    full: Sums,
+}
+
+impl Start {
+    /// The start of a walk over `dims` (`full` when that is the whole
+    /// vector, whose sums are stored).
+    fn over(&self, dims: Range<usize>, full: bool) -> Prepared<'_> {
+        Prepared {
+            contribs: &self.contribs[dims],
+            sums: full.then_some(self.full),
+        }
+    }
+}
+
+/// A walk's prepared start: its sub-range's no-payload contributions and,
+/// over the full vector, their sums.
+#[derive(Debug, Clone, Copy)]
+struct Prepared<'p> {
+    contribs: &'p [f64],
+    sums: Option<Sums>,
+}
+
+impl Prepared<'_> {
+    /// Copy the contributions into a walk's `contribs` and return their
+    /// sums: stored for the full vector, otherwise summed over the
+    /// sub-range exactly as a walk computing them would.
+    #[inline(always)]
+    fn start<M: Bound>(self, contribs: &mut [f64]) -> Sums {
+        contribs.copy_from_slice(self.contribs);
+        self.sums.unwrap_or_else(|| Sums::of::<M>(self.contribs))
+    }
 }
 
 /// Per-vector format class under prefix elimination.
@@ -299,7 +429,7 @@ impl<'a> EtEngine<'a> {
             .checked(query, 0..self.data.dim())
             .expect("full-range evaluation is in bounds");
         dispatch!(self.data.dtype(), self.data.metric(), E, M => {
-            self.evaluate_pair_kernel::<E, M>(id, query, dims, thresholds, scratch)
+            self.evaluate_pair_kernel::<E, M>(id, query, dims, thresholds, None, scratch)
         })
     }
 
@@ -377,38 +507,98 @@ impl<'a> EtEngine<'a> {
     ) -> Result<EvalCost, crate::EtError> {
         let dims = self.checked(query, dims)?;
         Ok(dispatch!(self.data.dtype(), self.data.metric(), E, M => {
-            self.evaluate_kernel::<E, M, O>(id, query, dims, threshold, scratch, obs)
+            self.evaluate_kernel::<E, M, O>(id, query, dims, threshold, None, scratch, obs)
         }))
     }
 
+    /// Prepare `query` for many comparisons (see [`EtQuery`]).
+    ///
+    /// # Errors
+    ///
+    /// Rejects a query whose length differs from the dataset
+    /// dimensionality, as [`EtEngine::evaluate_range`] does.
+    pub fn prepare<'q>(&self, query: &'q [f32]) -> Result<EtQuery<'_, 'q>, EtError> {
+        self.checked(query, 0..self.data.dim())?;
+        let start = dispatch!(self.data.dtype(), self.data.metric(), E, M => {
+            self.start::<E, M>(query)
+        });
+        let mut scratch = EtScratch::new();
+        scratch.tally.bounds += 1;
+        Ok(EtQuery {
+            engine: self,
+            query,
+            start,
+            scratch,
+        })
+    }
+
+    /// The no-payload contributions every plain or normal-format vector
+    /// shares for `query`. A plain vector knows no bit of an element, a
+    /// normal-format vector exactly its dimension's common prefix, so an
+    /// element's interval is the same for every such vector: the kernel
+    /// reads only the known bits of the sortable pattern, here the
+    /// dimension's prefix (or nothing).
+    fn start<E: Elem, M: Bound>(&self, query: &[f32]) -> Start {
+        let (prefix, shared): (u32, &[u32]) = match &self.cfg.prefix {
+            Some(spec) if !self.classes.is_empty() => (spec.len(), spec.dim_prefixes()),
+            _ => (0, &[]),
+        };
+        let ones = uniform_ones::<E>(prefix, 0);
+        let contribs: Vec<f64> = query
+            .iter()
+            .enumerate()
+            .map(|(d, &q)| {
+                let s = if prefix == 0 {
+                    0
+                } else {
+                    shared[d] << (E::BITS - prefix)
+                };
+                element::<E, M>(s, ones, q)
+            })
+            .collect();
+        let full = Sums::of::<M>(&contribs);
+        Start { contribs, full }
+    }
+
     /// Validate a query and sub-range; a reversed range is empty.
-    fn checked(&self, query: &[f32], dims: Range<usize>) -> Result<Range<usize>, crate::EtError> {
+    fn checked(&self, query: &[f32], dims: Range<usize>) -> Result<Range<usize>, EtError> {
         let dim = self.data.dim();
         if query.len() != dim {
-            return Err(crate::EtError::QueryDimMismatch {
+            return Err(EtError::QueryDimMismatch {
                 expected: dim,
                 got: query.len(),
             });
         }
         if dims.end > dim {
-            return Err(crate::EtError::RangeOutOfBounds { end: dims.end, dim });
+            return Err(EtError::RangeOutOfBounds { end: dims.end, dim });
         }
         Ok(dims.start.min(dims.end)..dims.end)
     }
 
     /// One comparison, monomorphized for the dataset's element type and
-    /// metric (see [`crate::kernel`]).
+    /// metric (see [`crate::kernel`]), starting from `prepared` when the
+    /// query was prepared.
+    #[allow(clippy::too_many_arguments)]
     fn evaluate_kernel<E: Elem, M: Bound, O: EtObserver>(
         &self,
         id: usize,
         query: &[f32],
         dims: Range<usize>,
         threshold: f32,
+        prepared: Option<&Start>,
         scratch: &mut EtScratch,
         obs: &mut O,
     ) -> EvalCost {
         let class = self.class(id);
-        let walk = self.walk::<E, M, 1>(id, query, dims.clone(), class, scratch, [threshold]);
+        let walk = self.walk::<E, M, 1>(
+            id,
+            query,
+            dims.clone(),
+            class,
+            prepared,
+            scratch,
+            [threshold],
+        );
         if let [Some((lines, bound))] = walk.pruned {
             obs.terminated(lines, walk.planned);
             return EvalCost::pruned(lines, bound);
@@ -424,10 +614,19 @@ impl<'a> EtEngine<'a> {
         query: &[f32],
         dims: Range<usize>,
         thresholds: [f32; 2],
+        prepared: Option<&Start>,
         scratch: &mut EtScratch,
     ) -> [EvalCost; 2] {
         let class = self.class(id);
-        let walk = self.walk::<E, M, 2>(id, query, dims.clone(), class, scratch, thresholds);
+        let walk = self.walk::<E, M, 2>(
+            id,
+            query,
+            dims.clone(),
+            class,
+            prepared,
+            scratch,
+            thresholds,
+        );
         let cost = |i: usize| match walk.pruned[i] {
             Some((lines, bound)) => EvalCost::pruned(lines, bound),
             None => self.complete::<M, _, 2>(
@@ -452,9 +651,13 @@ impl<'a> EtEngine<'a> {
 
     /// Walk comparison `id`'s bound sequence over `dims` at
     /// `thresholds` (see [`walk_lines`]). Plain and normal-format vectors
-    /// take the lane-blocked loop when no contribution can be −∞
+    /// start from the query's `prepared` contributions when there are
+    /// any, and take the lane-blocked loop when no contribution can be −∞
     /// ([`Bound::NEVER_UNBOUNDED`]); outlier vectors, whose elements know
-    /// different bit counts, and the rest take the per-element loop.
+    /// different bit counts, and the rest take the per-element loop. Only
+    /// a full-vector outlier comparison reads the bound after its last
+    /// line ([`EtEngine::complete`]).
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn walk<E: Elem, M: Bound, const N: usize>(
         &self,
@@ -462,28 +665,36 @@ impl<'a> EtEngine<'a> {
         query: &[f32],
         dims: Range<usize>,
         class: VectorClass,
+        prepared: Option<&Start>,
         scratch: &mut EtScratch,
         thresholds: [f32; N],
     ) -> Walk<N> {
         let sub = dims.len();
+        let full = sub == self.data.dim();
         let raw = &self.data.raw_vector(id)[dims.clone()];
         let query = &query[dims.clone()];
         let EtScratch {
             contribs,
             fresh,
             subplan,
+            tally,
         } = scratch;
 
         // Line plan: the transformed layout of the sub-vector only.
-        let plan: &[LinePlan] = if sub == self.data.dim() {
+        let plan: &[LinePlan] = if full {
             &self.plan
         } else {
             self.cfg.schedule.line_plan_into(sub, subplan);
             subplan
         };
-        contribs.clear();
+        // A walk's start overwrites every contribution: only the length
+        // matters here.
         contribs.resize(sub, 0.0);
-        let cumulative = &self.cumulative;
+        let lines = Lines {
+            plan,
+            cumulative: &self.cumulative,
+            last_bound: false,
+        };
         let prefix = match (class, &self.cfg.prefix) {
             (VectorClass::Outlier, Some(spec)) => {
                 let offset = dims.start;
@@ -495,11 +706,16 @@ impl<'a> EtEngine<'a> {
                         )
                     }
                 });
-                return walk_lines::<E, M, _, N>(elements, plan, cumulative, thresholds);
+                let lines = Lines {
+                    last_bound: full,
+                    ..lines
+                };
+                return walk_lines::<E, M, _, N>(elements, None, lines, thresholds, tally);
             }
             (VectorClass::Normal, Some(spec)) => spec.len(),
             _ => 0,
         };
+        let prepared = prepared.map(|start| start.over(dims, full));
         if M::NEVER_UNBOUNDED {
             if fresh.len() < sub {
                 fresh.resize(sub, 0.0);
@@ -512,13 +728,13 @@ impl<'a> EtEngine<'a> {
                 prefix,
                 sum: 0.0,
             };
-            walk_lines::<E, M, _, N>(lanes, plan, cumulative, thresholds)
+            walk_lines::<E, M, _, N>(lanes, prepared, lines, thresholds, tally)
         } else {
             let elements = PerElement::new(raw, query, contribs, |payload| {
                 let ones = uniform_ones::<E>(prefix, payload);
                 move |_, _| ones
             });
-            walk_lines::<E, M, _, N>(elements, plan, cumulative, thresholds)
+            walk_lines::<E, M, _, N>(elements, prepared, lines, thresholds, tally)
         }
     }
 
@@ -599,6 +815,103 @@ impl<'a> EtEngine<'a> {
     }
 }
 
+/// A query prepared for one engine ([`EtEngine::prepare`]), for a caller
+/// that walks many comparisons of the query.
+///
+/// With no payload fetched, a plain vector knows no bit of any element
+/// and a normal-format vector knows exactly its dimension's common prefix,
+/// so each element's interval, and its contribution to the bound, depends
+/// on the query coordinate alone. The prepared query computes those
+/// contributions and their bound once. Every plain or normal-format
+/// comparison then starts its walk from a copy of them; an outlier vector,
+/// whose elements each know a different bit count, still starts from its
+/// own elements. Each evaluation returns exactly what the matching
+/// query-slice call on the engine returns, and makes the same observer
+/// calls: the prepared values are the ones that call computes, from the
+/// same inputs, summed in the same order.
+///
+/// The prepared query also owns the scratch its walks reuse, and it
+/// borrows the query it serves: it holds one `f64` per dimension.
+#[derive(Debug)]
+pub struct EtQuery<'e, 'q> {
+    engine: &'e EtEngine<'e>,
+    query: &'q [f32],
+    start: Start,
+    scratch: EtScratch,
+}
+
+impl<'e, 'q> EtQuery<'e, 'q> {
+    /// The engine the query was prepared for.
+    pub fn engine(&self) -> &'e EtEngine<'e> {
+        self.engine
+    }
+
+    /// Whether `query` is the served query, bit for bit: oracles that
+    /// take a query per comparison check it in debug builds.
+    pub fn serves(&self, query: &[f32]) -> bool {
+        query.len() == self.query.len()
+            && query
+                .iter()
+                .zip(self.query)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// [`EtEngine::evaluate_with`] for the served query.
+    pub fn evaluate(&mut self, id: usize, threshold: f32) -> EvalCost {
+        self.evaluate_obs(id, threshold, &mut NoopEtObserver)
+    }
+
+    /// [`EtEngine::evaluate_obs`] for the served query.
+    pub fn evaluate_obs<O: EtObserver>(
+        &mut self,
+        id: usize,
+        threshold: f32,
+        obs: &mut O,
+    ) -> EvalCost {
+        self.evaluate_range_obs(id, 0..self.query.len(), threshold, obs)
+            .expect("full-range evaluation is in bounds")
+    }
+
+    /// [`EtEngine::evaluate_pair_with`] for the served query.
+    pub fn evaluate_pair(&mut self, id: usize, thresholds: [f32; 2]) -> [EvalCost; 2] {
+        let EtQuery {
+            engine,
+            query,
+            start,
+            scratch,
+        } = self;
+        dispatch!(engine.data.dtype(), engine.data.metric(), E, M => {
+            engine.evaluate_pair_kernel::<E, M>(id, query, 0..query.len(), thresholds, Some(start), scratch)
+        })
+    }
+
+    /// [`EtEngine::evaluate_range_obs`] for the served query.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an out-of-range `dims`.
+    pub fn evaluate_range_obs<O: EtObserver>(
+        &mut self,
+        id: usize,
+        dims: Range<usize>,
+        threshold: f32,
+        obs: &mut O,
+    ) -> Result<EvalCost, EtError> {
+        let EtQuery {
+            engine,
+            query,
+            start,
+            scratch,
+        } = self;
+        let dims = engine.checked(query, dims)?;
+        Ok(
+            dispatch!(engine.data.dtype(), engine.data.metric(), E, M => {
+                engine.evaluate_kernel::<E, M, O>(id, query, dims, threshold, Some(start), scratch, obs)
+            }),
+        )
+    }
+}
+
 /// Where a walk over a comparison's bound sequence ended.
 #[derive(Debug, Clone, Copy)]
 struct Walk<const N: usize> {
@@ -606,7 +919,9 @@ struct Walk<const N: usize> {
     lines: usize,
     /// Lines in the (sub-)vector's plan.
     planned: usize,
-    /// The last bound of the walk.
+    /// The last bound the walk computed: after a complete fetch, the
+    /// bound after the last line only where [`Lines::last_bound`] asked
+    /// for it.
     bound: f64,
     /// Per threshold, the lines fetched and the bound when it first
     /// pruned.
@@ -624,28 +939,49 @@ fn prunes(threshold: f32, lines: usize, planned: usize, bound: f64) -> bool {
 
 /// A comparison's per-dimension contributions and their running bound.
 trait Contributions {
-    /// Set every contribution with no payload fetched; return the bound.
-    fn init<E: Elem, M: Bound>(&mut self) -> f64;
+    /// Set every contribution with no payload fetched, copying the
+    /// query's `prepared` ones or computing them; return the bound.
+    fn init<E: Elem, M: Bound>(&mut self, prepared: Option<Prepared<'_>>) -> f64;
 
     /// Refine sub-range dimensions `covered` to `payload` fetched bits;
     /// return the new bound.
     fn refine<E: Elem, M: Bound>(&mut self, covered: Range<usize>, payload: u32) -> f64;
 }
 
+/// The lines a walk fetches.
+#[derive(Debug, Clone, Copy)]
+struct Lines<'p> {
+    /// The (sub-)vector's line plan.
+    plan: &'p [LinePlan],
+    /// Cumulative payload bits per schedule step.
+    cumulative: &'p [u32],
+    /// Whether anything reads the bound after the last line. No threshold
+    /// prunes there ([`prunes`]), and a complete fetch is settled by the
+    /// exact distance or the sub-range's partial sum, except for a
+    /// full-vector outlier comparison, whose dropped bits leave only that
+    /// bound ([`EtEngine::complete`]).
+    last_bound: bool,
+}
+
 /// The one loop every evaluation runs: the bound with nothing fetched,
-/// then after each line of `plan`, until every threshold has pruned or
-/// every line has arrived.
+/// then after each line, until every threshold has pruned or every line
+/// has arrived. The last line is fetched either way, but refined only
+/// when its bound is read. `tally` counts the walk and each bound it
+/// computes.
 #[inline(always)]
 fn walk_lines<E: Elem, M: Bound, C: Contributions, const N: usize>(
     mut contribs: C,
-    plan: &[LinePlan],
-    cumulative: &[u32],
+    prepared: Option<Prepared<'_>>,
+    lines: Lines<'_>,
     thresholds: [f32; N],
+    tally: &mut Tally,
 ) -> Walk<N> {
+    tally.evaluations += 1;
+    tally.bounds += u64::from(prepared.is_none());
     let mut walk = Walk {
         lines: 0,
-        planned: plan.len(),
-        bound: contribs.init::<E, M>(),
+        planned: lines.plan.len(),
+        bound: contribs.init::<E, M>(prepared),
         pruned: [None; N],
     };
     loop {
@@ -657,9 +993,13 @@ fn walk_lines<E: Elem, M: Bound, C: Contributions, const N: usize>(
         if walk.lines == walk.planned || walk.pruned.iter().all(Option::is_some) {
             return walk;
         }
-        let lp = &plan[walk.lines];
-        walk.bound = contribs.refine::<E, M>(lp.dim_start..lp.dim_end, cumulative[lp.step]);
+        let lp = &lines.plan[walk.lines];
         walk.lines += 1;
+        if walk.lines < walk.planned || lines.last_bound {
+            let payload = lines.cumulative[lp.step];
+            walk.bound = contribs.refine::<E, M>(lp.dim_start..lp.dim_end, payload);
+            tally.bounds += 1;
+        }
     }
 }
 
@@ -699,10 +1039,15 @@ struct Lanes<'s> {
 
 impl Contributions for Lanes<'_> {
     #[inline(always)]
-    fn init<E: Elem, M: Bound>(&mut self) -> f64 {
-        let ones = uniform_ones::<E>(self.prefix, 0);
-        contributions::<E, M>(self.raw, self.query, ones, self.contribs);
-        self.sum = sum4(self.contribs);
+    fn init<E: Elem, M: Bound>(&mut self, prepared: Option<Prepared<'_>>) -> f64 {
+        self.sum = match prepared {
+            Some(p) => p.start::<M>(self.contribs).finite,
+            None => {
+                let ones = uniform_ones::<E>(self.prefix, 0);
+                contributions::<E, M>(self.raw, self.query, ones, self.contribs);
+                sum4(self.contribs)
+            }
+        };
         self.sum
     }
 
@@ -753,8 +1098,7 @@ struct PerElement<'s, K> {
     /// `j` (sortable pattern `s`) is `mask(payload)(j, s)`; the outer call
     /// runs once per line.
     mask: K,
-    finite_sum: f64,
-    unbounded: usize,
+    sums: Sums,
 }
 
 impl<'s, K> PerElement<'s, K> {
@@ -764,48 +1108,31 @@ impl<'s, K> PerElement<'s, K> {
             query,
             contribs,
             mask,
-            finite_sum: 0.0,
-            unbounded: 0,
-        }
-    }
-
-    fn bound(&self) -> f64 {
-        if self.unbounded > 0 {
-            f64::NEG_INFINITY
-        } else {
-            self.finite_sum
+            sums: Sums::default(),
         }
     }
 }
 
 impl<K: Fn(u32) -> L, L: Fn(usize, u32) -> u32> Contributions for PerElement<'_, K> {
     #[inline(always)]
-    fn init<E: Elem, M: Bound>(&mut self) -> f64 {
-        let mask = (self.mask)(0);
-        let mut unbounded = 0;
-        let dims = self
-            .raw
-            .iter()
-            .zip(self.query)
-            .zip(self.contribs.iter_mut());
-        for (j, ((&r, &q), slot)) in dims.enumerate() {
-            let s = E::sortable(r);
-            *slot = element::<E, M>(s, mask(j, s), q);
-            if *slot == f64::NEG_INFINITY {
-                unbounded += 1;
+    fn init<E: Elem, M: Bound>(&mut self, prepared: Option<Prepared<'_>>) -> f64 {
+        self.sums = match prepared {
+            Some(p) => p.start::<M>(self.contribs),
+            None => {
+                let mask = (self.mask)(0);
+                let dims = self
+                    .raw
+                    .iter()
+                    .zip(self.query)
+                    .zip(self.contribs.iter_mut());
+                for (j, ((&r, &q), slot)) in dims.enumerate() {
+                    let s = E::sortable(r);
+                    *slot = element::<E, M>(s, mask(j, s), q);
+                }
+                Sums::of::<M>(self.contribs)
             }
-        }
-        self.unbounded = unbounded;
-        // Blocked 4-wide reduction of the finite contributions.
-        self.finite_sum = if unbounded == 0 {
-            sum4(self.contribs)
-        } else {
-            self.contribs
-                .iter()
-                .filter(|&&c| c != f64::NEG_INFINITY)
-                .sum::<f64>()
         };
-        self.bound()
+        self.sums.bound()
     }
 
     /// Accumulates the changes in four independent chains (dimension `j`
@@ -813,7 +1140,7 @@ impl<K: Fn(u32) -> L, L: Fn(usize, u32) -> u32> Contributions for PerElement<'_,
     #[inline(always)]
     fn refine<E: Elem, M: Bound>(&mut self, covered: Range<usize>, payload: u32) -> f64 {
         let mask = (self.mask)(payload);
-        let mut unbounded = self.unbounded;
+        let mut unbounded = self.sums.unbounded;
         let mut delta = [0.0f64; 4];
         let dims = self.raw[covered.clone()]
             .iter()
@@ -832,9 +1159,9 @@ impl<K: Fn(u32) -> L, L: Fn(usize, u32) -> u32> Contributions for PerElement<'_,
                 delta[j & 3] += c - old;
             }
         }
-        self.unbounded = unbounded;
-        self.finite_sum += (delta[0] + delta[1]) + (delta[2] + delta[3]);
-        self.bound()
+        self.sums.unbounded = unbounded;
+        self.sums.finite += (delta[0] + delta[1]) + (delta[2] + delta[3]);
+        self.sums.bound()
     }
 }
 
@@ -860,12 +1187,11 @@ fn outlier_known(spec: &PrefixSpec, d: usize, s: u32, payload_bits: u32, bits: u
 }
 
 /// A [`DistanceOracle`](ansmet_index::DistanceOracle) backed by the
-/// engine, proving end-to-end that early termination changes no search
-/// result.
+/// engine for one query, proving end-to-end that early termination
+/// changes no search result.
 #[derive(Debug)]
 pub struct EtOracle<'a> {
-    engine: &'a EtEngine<'a>,
-    scratch: EtScratch,
+    query: EtQuery<'a, 'a>,
     comparisons: u64,
     /// Transformed-layout lines fetched so far.
     pub lines: u64,
@@ -876,22 +1202,28 @@ pub struct EtOracle<'a> {
 }
 
 impl<'a> EtOracle<'a> {
-    /// Wrap an engine as a search oracle.
-    pub fn new(engine: &'a EtEngine<'a>) -> Self {
-        EtOracle {
-            engine,
-            scratch: EtScratch::new(),
+    /// Wrap an engine as the search oracle of `query`, which it prepares
+    /// once ([`EtEngine::prepare`]). The oracle compares stored vectors
+    /// against that query only.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a query whose length differs from the dataset
+    /// dimensionality.
+    pub fn new(engine: &'a EtEngine<'a>, query: &'a [f32]) -> Result<Self, EtError> {
+        Ok(EtOracle {
+            query: engine.prepare(query)?,
             comparisons: 0,
             lines: 0,
             backup_lines: 0,
             pruned: 0,
-        }
+        })
     }
 
     /// Lines a non-terminating design would have fetched for the same
     /// comparisons.
     pub fn baseline_lines(&self) -> u64 {
-        self.comparisons * self.engine.full_lines() as u64
+        self.comparisons * self.query.engine().full_lines() as u64
     }
 }
 
@@ -902,10 +1234,9 @@ impl ansmet_index::DistanceOracle for EtOracle<'_> {
         query: &[f32],
         threshold: f32,
     ) -> ansmet_index::DistanceOutcome {
+        debug_assert!(self.query.serves(query), "the oracle serves one query");
         self.comparisons += 1;
-        let cost = self
-            .engine
-            .evaluate_with(id, query, threshold, &mut self.scratch);
+        let cost = self.query.evaluate(id, threshold);
         self.lines += cost.lines as u64;
         self.backup_lines += cost.backup_lines as u64;
         if cost.pruned {
@@ -1086,7 +1417,7 @@ mod tests {
         let e = engine_for(&data, 8);
         for q in &queries {
             let mut exact = ExactOracle::new(&data);
-            let mut et = EtOracle::new(&e);
+            let mut et = EtOracle::new(&e, q).expect("query matches the data");
             let r1 = hnsw.search(q, 10, 60, &mut exact);
             let r2 = hnsw.search(q, 10, 60, &mut et);
             assert_eq!(r1.ids(), r2.ids(), "ET changed the search result");

@@ -9,7 +9,10 @@
 //! over every element type, metric, prefix mode, range shape and a set of
 //! boundary thresholds. A third property requires
 //! [`EtEngine::evaluate_pair_with`] to return exactly what two
-//! [`EtEngine::evaluate_with`] calls return.
+//! [`EtEngine::evaluate_with`] calls return. Both properties also run
+//! every evaluation through a prepared query ([`EtEngine::prepare`]),
+//! which must return the same, and the fixed cases below pin what a walk
+//! computes on its last line and the typed error of a wrong-length query.
 
 use std::ops::Range;
 
@@ -18,9 +21,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use super::{sum4, EtConfig, EtEngine, EtScratch, EvalCost};
+use super::{sum4, EtConfig, EtEngine, EtScratch, EvalCost, Tally, VectorClass};
 use crate::bound::DistanceBounder;
 use crate::encode::{from_sortable, to_sortable};
+use crate::error::EtError;
 use crate::interval::ValueInterval;
 use crate::observe::EtObserver;
 use crate::prefix::PrefixSpec;
@@ -443,6 +447,7 @@ fn check_kernel(
                 let engine = EtEngine::new(&data, cfg.clone());
                 let reference = ReferenceEngine::new(&data, cfg);
                 let mut scratch = EtScratch::new();
+                let mut prepared = engine.prepare(&query).expect("query matches the data");
                 for (id, dims) in (0..data.len()).flat_map(|id| [(id, 0..dim), (id, lo..hi)]) {
                     let partial: f64 = data.vector(id)[dims.clone()]
                         .iter()
@@ -485,6 +490,22 @@ fn check_kernel(
                             engine.config().prefix
                         );
                         prop_assert_eq!(&got_calls, &want_calls);
+                        let mut prepared_calls = Calls::default();
+                        let via_prepared = prepared
+                            .evaluate_range_obs(id, dims.clone(), threshold, &mut prepared_calls)
+                            .expect("dims in range");
+                        prop_assert_eq!(
+                            cost_bits(&via_prepared),
+                            cost_bits(&want),
+                            "prepared {:?}/{:?} id {} dims {:?} threshold {} prefix {:?}",
+                            dtype,
+                            metric,
+                            id,
+                            dims,
+                            threshold,
+                            engine.config().prefix
+                        );
+                        prop_assert_eq!(&prepared_calls, &want_calls);
                     }
                 }
             }
@@ -496,7 +517,8 @@ fn check_kernel(
 /// [`EtEngine::evaluate_pair_with`] against two
 /// [`EtEngine::evaluate_with`] calls, for every element type, metric and
 /// prefix mode, and every ordered pair of boundary thresholds (ties and
-/// reversed pairs included).
+/// reversed pairs included); a prepared query's pair and single
+/// evaluations must return the same.
 fn check_pair(
     seed: u64,
     n: usize,
@@ -514,21 +536,32 @@ fn check_pair(
             for cfg in configs(dtype, shared, prefixes, shape, width) {
                 let engine = EtEngine::new(&data, cfg);
                 let mut scratch = EtScratch::new();
+                let mut prepared = engine.prepare(&query).expect("query matches the data");
                 for id in 0..data.len() {
                     let all = thresholds(data.distance_to(id, &query));
                     for pair in all.into_iter().flat_map(|a| all.map(|b| [a, b])) {
-                        let got = engine.evaluate_pair_with(id, &query, pair, &mut scratch);
                         let want = pair.map(|t| engine.evaluate_with(id, &query, t, &mut scratch));
-                        prop_assert_eq!(
-                            got.map(|c| cost_bits(&c)),
-                            want.map(|c| cost_bits(&c)),
-                            "{:?}/{:?} id {} thresholds {:?} prefix {:?}",
-                            dtype,
-                            metric,
-                            id,
-                            pair,
-                            engine.config().prefix
-                        );
+                        let got = [
+                            engine.evaluate_pair_with(id, &query, pair, &mut scratch),
+                            prepared.evaluate_pair(id, pair),
+                            pair.map(|t| prepared.evaluate(id, t)),
+                        ];
+                        for (path, got) in ["slice pair", "prepared pair", "prepared"]
+                            .into_iter()
+                            .zip(got)
+                        {
+                            prop_assert_eq!(
+                                got.map(|c| cost_bits(&c)),
+                                want.map(|c| cost_bits(&c)),
+                                "{} {:?}/{:?} id {} thresholds {:?} prefix {:?}",
+                                path,
+                                dtype,
+                                metric,
+                                id,
+                                pair,
+                                engine.config().prefix
+                            );
+                        }
                     }
                 }
             }
@@ -567,6 +600,107 @@ fn check_first_termination(
         }
     }
     Ok(())
+}
+
+/// A vector of each class that completes on its last line, under L2 and
+/// IP: every path returns the reference's cost, and the walk computes a
+/// bound per line except the last, which only a full-vector outlier
+/// comparison reads. A prepared query computes no-payload bounds once.
+#[test]
+fn last_line_bound_is_computed_only_where_it_is_read() {
+    let mut rng = SmallRng::seed_from_u64(0x1a57);
+    for metric in METRICS {
+        let (data, prefixes) = clustered(&mut rng, ElemType::F32, metric, 12, 40, 8);
+        let query = query_for(&mut rng, &data);
+        let [plain, prefixed, _] = configs(ElemType::F32, 8, prefixes, 0, 7);
+        for (cfg, class) in [
+            (plain, VectorClass::Plain),
+            (prefixed.clone(), VectorClass::Normal),
+            (prefixed.clone(), VectorClass::Outlier),
+            (prefixed.without_backup(), VectorClass::Outlier),
+        ] {
+            let engine = EtEngine::new(&data, cfg.clone());
+            let reference = ReferenceEngine::new(&data, cfg);
+            let planned = engine.full_lines() as u64;
+            assert!(planned >= 2, "the case needs a line before the last");
+            let id = (0..data.len())
+                .find(|&id| engine.class(id) == class)
+                .expect("the data holds a vector of each class");
+            let want = reference.evaluate(
+                id,
+                &query,
+                0..data.dim(),
+                f32::INFINITY,
+                &mut Calls::default(),
+            );
+            assert!(!want.pruned && want.lines as u64 == planned);
+            // An outlier computes its own start and every line's bound;
+            // the others skip the last line's.
+            let walked = if class == VectorClass::Outlier {
+                1 + planned
+            } else {
+                planned
+            };
+
+            let mut scratch = EtScratch::new();
+            let got = engine.evaluate_with(id, &query, f32::INFINITY, &mut scratch);
+            assert_eq!(cost_bits(&got), cost_bits(&want), "{metric:?} {class:?}");
+            let tally = std::mem::take(&mut scratch.tally);
+            assert_eq!(
+                tally,
+                Tally {
+                    evaluations: 1,
+                    bounds: walked,
+                },
+                "{metric:?} {class:?} query-slice walk"
+            );
+
+            let mut prepared = engine.prepare(&query).expect("query matches the data");
+            let got = prepared.evaluate(id, f32::INFINITY);
+            assert_eq!(cost_bits(&got), cost_bits(&want), "{metric:?} {class:?}");
+            // The prepared start counts once; only an outlier computes its own.
+            let prepared_walk = if class == VectorClass::Outlier {
+                walked
+            } else {
+                walked - 1
+            };
+            let tally = std::mem::take(&mut prepared.scratch.tally);
+            assert_eq!(
+                tally,
+                Tally {
+                    evaluations: 1,
+                    bounds: 1 + prepared_walk,
+                },
+                "{metric:?} {class:?} prepared walk"
+            );
+        }
+    }
+}
+
+/// A query whose length differs from the dataset's is rejected with the
+/// typed error the query-slice calls return.
+#[test]
+fn prepare_rejects_a_wrong_length_query() {
+    let mut rng = SmallRng::seed_from_u64(7);
+    let (data, _) = clustered(&mut rng, ElemType::U8, Metric::L2, 3, 9, 2);
+    let engine = EtEngine::new(
+        &data,
+        EtConfig::new(FetchSchedule::full_width(ElemType::U8)),
+    );
+    for len in [0, 8, 10] {
+        let query = vec![1.0; len];
+        let want = EtError::QueryDimMismatch {
+            expected: 9,
+            got: len,
+        };
+        assert_eq!(engine.prepare(&query).unwrap_err(), want);
+        assert_eq!(engine.evaluate_range(0, &query, 0..9, 1.0), Err(want));
+        assert_eq!(
+            crate::EtOracle::new(&engine, &query).unwrap_err(),
+            want,
+            "the oracle prepares its query"
+        );
+    }
 }
 
 proptest! {

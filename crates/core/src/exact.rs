@@ -9,7 +9,7 @@
 
 use ansmet_index::{MaxDistHeap, Neighbor};
 
-use crate::engine::{EtEngine, EtScratch};
+use crate::engine::EtEngine;
 
 /// Result of an early-terminating exact scan.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,18 +40,21 @@ impl ExactScan {
 ///
 /// # Panics
 ///
-/// Panics if `k` is zero.
+/// Panics if `k` is zero or if `query.len()` differs from the dataset
+/// dimensionality.
 pub fn et_knn(engine: &EtEngine<'_>, query: &[f32], k: usize) -> ExactScan {
     assert!(k > 0, "k must be positive");
     let data = engine.dataset();
     let k = k.min(data.len());
     let mut heap = MaxDistHeap::new(k);
-    let mut scratch = EtScratch::new();
+    let mut et = engine
+        .prepare(query)
+        .expect("query length matches the dataset");
     let mut lines = 0u64;
     let mut pruned = 0u64;
     for id in 0..data.len() {
         let threshold = heap.threshold();
-        let cost = engine.evaluate_with(id, query, threshold, &mut scratch);
+        let cost = et.evaluate(id, threshold);
         lines += cost.total_lines() as u64;
         if cost.pruned {
             pruned += 1;

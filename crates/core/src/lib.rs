@@ -52,7 +52,9 @@ pub mod schedule;
 pub use analysis::{et_frequency_profile, prefix_entropy_profile};
 pub use bound::DistanceBounder;
 pub use encode::{from_sortable, sortable_to_value, to_sortable};
-pub use engine::{EtConfig, EtEngine, EtOracle, EtScratch, EvalCost};
+pub use engine::{
+    et_bounds, et_evaluations, EtConfig, EtEngine, EtOracle, EtQuery, EtScratch, EvalCost,
+};
 pub use error::EtError;
 pub use exact::{et_assign, et_knn, ExactScan};
 pub use interval::ValueInterval;

@@ -16,17 +16,19 @@
 //! distances for accepted candidates (ET is lossless), searches through
 //! this oracle are bit-identical to exact searches — the flag only moves
 //! cost, never results.
+//!
+//! One oracle serves one read: it prepares the read's query once
+//! ([`EtEngine::prepare`]) and evaluates every comparison through it.
 
-use ansmet_core::{EtEngine, EtScratch};
+use ansmet_core::{EtEngine, EtError, EtQuery};
 use ansmet_index::{DistanceOracle, DistanceOutcome};
 
-/// ET oracle that serves non-revalidated ids with a conservative exact
-/// full fetch.
+/// ET oracle for one query that serves non-revalidated ids with a
+/// conservative exact full fetch.
 #[derive(Debug)]
 pub struct FreshEtOracle<'a> {
-    engine: &'a EtEngine<'a>,
+    query: EtQuery<'a, 'a>,
     conservative: &'a [bool],
-    scratch: EtScratch,
     comparisons: u64,
     /// Transformed-layout lines fetched so far (conservative fetches
     /// count their natural-layout lines here too).
@@ -40,14 +42,24 @@ pub struct FreshEtOracle<'a> {
 }
 
 impl<'a> FreshEtOracle<'a> {
-    /// Wrap `engine` with per-id conservative flags (one per dataset
-    /// vector, typically [`MutableIndex::conservative_flags`](crate::MutableIndex::conservative_flags)).
+    /// Wrap `engine` as the oracle of `query`, with per-id conservative
+    /// flags (one per dataset vector, typically
+    /// [`MutableIndex::conservative_flags`](crate::MutableIndex::conservative_flags)).
+    ///
+    /// # Errors
+    ///
+    /// Rejects a query whose length differs from the dataset
+    /// dimensionality.
     ///
     /// # Panics
     ///
     /// Panics if the flag slice and the engine's dataset disagree on
     /// length.
-    pub fn new(engine: &'a EtEngine<'a>, conservative: &'a [bool]) -> Self {
+    pub fn new(
+        engine: &'a EtEngine<'a>,
+        conservative: &'a [bool],
+        query: &'a [f32],
+    ) -> Result<Self, EtError> {
         assert_eq!(
             conservative.len(),
             engine.dataset().len(),
@@ -55,36 +67,35 @@ impl<'a> FreshEtOracle<'a> {
             conservative.len(),
             engine.dataset().len()
         );
-        FreshEtOracle {
-            engine,
+        Ok(FreshEtOracle {
+            query: engine.prepare(query)?,
             conservative,
-            scratch: EtScratch::new(),
             comparisons: 0,
             lines: 0,
             backup_lines: 0,
             pruned: 0,
             conservative_fetches: 0,
-        }
+        })
     }
 
     /// Lines a non-terminating design would have fetched for the same
     /// comparisons.
     pub fn baseline_lines(&self) -> u64 {
-        self.comparisons * self.engine.full_lines() as u64
+        self.comparisons * self.query.engine().full_lines() as u64
     }
 }
 
 impl DistanceOracle for FreshEtOracle<'_> {
     fn evaluate(&mut self, id: usize, query: &[f32], threshold: f32) -> DistanceOutcome {
+        debug_assert!(self.query.serves(query), "the oracle serves one query");
         self.comparisons += 1;
         if self.conservative[id] {
+            let engine = self.query.engine();
             self.conservative_fetches += 1;
-            self.lines += self.engine.natural_lines() as u64;
-            return DistanceOutcome::Exact(self.engine.dataset().distance_to(id, query));
+            self.lines += engine.natural_lines() as u64;
+            return DistanceOutcome::Exact(engine.dataset().distance_to(id, query));
         }
-        let cost = self
-            .engine
-            .evaluate_with(id, query, threshold, &mut self.scratch);
+        let cost = self.query.evaluate(id, threshold);
         self.lines += cost.lines as u64;
         self.backup_lines += cost.backup_lines as u64;
         if cost.pruned {
@@ -116,7 +127,8 @@ mod tests {
         let engine = EtEngine::new(&data, cfg);
         let mut flags = vec![false; data.len()];
         flags[5] = true;
-        let mut oracle = FreshEtOracle::new(&engine, &flags);
+        let mut oracle =
+            FreshEtOracle::new(&engine, &flags, &queries[0]).expect("query matches the data");
         // Conservative id: exact distance regardless of threshold.
         let out = oracle.evaluate(5, &queries[0], 0.0);
         assert_eq!(
@@ -137,10 +149,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "conservative flags cover")]
     fn flag_shape_is_checked() {
-        let (data, _) = SynthSpec::sift().scaled(10, 1).generate();
+        let (data, queries) = SynthSpec::sift().scaled(10, 1).generate();
         let cfg = EtConfig::new(FetchSchedule::simple_heuristic(data.dtype()));
         let engine = EtEngine::new(&data, cfg);
         let flags = vec![false; 3];
-        let _ = FreshEtOracle::new(&engine, &flags);
+        let _ = FreshEtOracle::new(&engine, &flags, &queries[0]);
     }
 }

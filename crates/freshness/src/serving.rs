@@ -565,7 +565,8 @@ fn execute_read(
     // inserts it has never been re-validated for are routed around it by
     // the conservative flags.
     let engine = EtEngine::new(index.data(), layout.et_config());
-    let mut et = FreshEtOracle::new(&engine, index.conservative_flags());
+    let mut et = FreshEtOracle::new(&engine, index.conservative_flags(), query)
+        .expect("read queries match the index");
     let r_et = index.search_with(query, k, ef, &mut et, scratch);
     let mut exact = ExactOracle::new(index.data());
     let r_exact = index.search_with(query, k, ef, &mut exact, scratch);
@@ -678,6 +679,47 @@ mod tests {
                 conservative_headroom: 0.05,
             },
         }
+    }
+
+    /// A churn run's counters and results equal those of the run in
+    /// which each read evaluated every comparison from the query slice,
+    /// before the read's oracle prepared its query: the values were
+    /// recorded from that run.
+    #[test]
+    fn churn_counters_match_the_query_slice_reads() {
+        let (mut idx, mut layout, queries, pending) = setup(400, 60);
+        let r = run_churn(&mut idx, &mut layout, &queries, &pending, &config(40, 30));
+        let got = [
+            r.reads_served,
+            r.reads_shed,
+            r.inserts_applied,
+            r.deletes_applied,
+            r.updates_shed,
+            r.updates_noop,
+            r.et_mismatches,
+            r.lines_fetched,
+            r.lines_baseline,
+            r.conservative_fetches,
+            r.end_cycle,
+            r.results_fingerprint,
+        ];
+        assert_eq!(
+            got,
+            [
+                40,
+                0,
+                13,
+                17,
+                0,
+                0,
+                0,
+                18_659,
+                20_988,
+                44,
+                708_760,
+                11_396_562_185_743_668_588
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! [`RecoveryReport`]), never accuracy. The integration tests in
 //! `tests/fault_recovery.rs` assert exactly that.
 
-use ansmet_core::{EtEngine, EtScratch};
+use ansmet_core::{EtEngine, EtError, EtQuery};
 use ansmet_faults::{ComputeFault, FaultInjector, FaultKind, FaultPlan, FaultStats};
 use ansmet_host::{RetryPolicy, CYCLES_PER_LINE, TASK_OVERHEAD_CYCLES};
 use ansmet_index::{DistanceOracle, DistanceOutcome};
@@ -123,10 +123,15 @@ enum AttemptError {
 
 /// A [`DistanceOracle`] that routes every comparison through the
 /// (fault-injected) NDP protocol and recovers on the host.
+///
+/// Its recovery state spans queries, so one oracle serves a whole run:
+/// [`FaultyNdpOracle::serve`] names the query each search compares
+/// against.
 #[derive(Debug)]
 pub struct FaultyNdpOracle<'a> {
     engine: &'a EtEngine<'a>,
-    scratch: EtScratch,
+    /// The query being served, prepared once.
+    query: Option<EtQuery<'a, 'a>>,
     partitioner: &'a Partitioner,
     replicas: &'a ReplicaSet,
     injector: FaultInjector,
@@ -152,7 +157,7 @@ impl<'a> FaultyNdpOracle<'a> {
         let groups = partitioner.rank_groups();
         FaultyNdpOracle {
             engine,
-            scratch: EtScratch::new(),
+            query: None,
             partitioner,
             replicas,
             injector: FaultInjector::new(plan),
@@ -162,6 +167,19 @@ impl<'a> FaultyNdpOracle<'a> {
             strikes: vec![0; groups],
             report: RecoveryReport::default(),
         }
+    }
+
+    /// Serve `query` next: the oracle prepares it once
+    /// ([`EtEngine::prepare`]) and compares every vector it is asked about
+    /// against it until the next call. Recovery state carries over.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a query whose length differs from the dataset
+    /// dimensionality.
+    pub fn serve(&mut self, query: &'a [f32]) -> Result<(), EtError> {
+        self.query = Some(self.engine.prepare(query)?);
+        Ok(())
     }
 
     /// The recovery counters, with the injector's tallies folded in.
@@ -272,15 +290,21 @@ fn outcome_of(value: f32) -> DistanceOutcome {
 }
 
 impl DistanceOracle for FaultyNdpOracle<'_> {
+    /// # Panics
+    ///
+    /// Panics if no query is served ([`FaultyNdpOracle::serve`]).
     fn evaluate(&mut self, id: usize, query: &[f32], threshold: f32) -> DistanceOutcome {
+        let et = self
+            .query
+            .as_mut()
+            .expect("FaultyNdpOracle::serve names the query first");
+        debug_assert!(et.serves(query), "the oracle serves the query it prepared");
         self.report.comparisons += 1;
         let qshr = (self.report.comparisons % 32) as u8;
         // What the healthy unit computes: the engine *is* the model of
         // the rank-side distance pipeline, so the value below is what a
         // fault-free run would return for this comparison.
-        let cost = self
-            .engine
-            .evaluate_with(id, query, threshold, &mut self.scratch);
+        let cost = et.evaluate(id, threshold);
         let value = cost.effective_distance().unwrap_or(RESULT_INVALID);
         let lines = cost.total_lines() as u64;
 
@@ -376,6 +400,7 @@ pub fn run_degraded(
 
     let mut results = Vec::with_capacity(workload.queries.len());
     for q in &workload.queries {
+        oracle.serve(q).expect("workload queries match the dataset");
         let (r, _trace) = match (&workload.hnsw, &workload.ivf) {
             (Some(h), _) => h.search_traced(q, workload.k, workload.ef, &mut oracle),
             (None, Some(i)) => {
@@ -486,6 +511,7 @@ mod tests {
             RetryPolicy::default_ndp(),
             PollingPolicy::conventional_100ns(),
         );
+        oracle.serve(&queries[0]).expect("query matches the data");
         let got = oracle.evaluate(id, &queries[0], f32::INFINITY);
         let want = engine.evaluate(id, &queries[0], f32::INFINITY);
         assert_eq!(got.distance(), want.distance);
@@ -531,6 +557,7 @@ mod tests {
             retry,
             PollingPolicy::conventional_100ns(),
         );
+        oracle.serve(&queries[0]).expect("query matches the data");
         let got = oracle.evaluate(id, &queries[0], f32::INFINITY);
         let want = engine.evaluate(id, &queries[0], f32::INFINITY);
         assert_eq!(got.distance(), want.distance);
@@ -575,6 +602,7 @@ mod tests {
             RetryPolicy::default_ndp(),
             PollingPolicy::conventional_100ns(),
         );
+        oracle.serve(&queries[0]).expect("query matches the data");
         let got = oracle.evaluate(id, &queries[0], f32::INFINITY);
         let want = engine.evaluate(id, &queries[0], f32::INFINITY);
         assert_eq!(got.distance(), want.distance);
@@ -664,6 +692,7 @@ mod tests {
             retry,
             PollingPolicy::conventional_100ns(),
         );
+        oracle.serve(&queries[0]).expect("query matches the data");
         let got = oracle.evaluate(id, &queries[0], f32::INFINITY);
         let want = engine.evaluate(id, &queries[0], f32::INFINITY);
         assert_eq!(got.distance(), want.distance, "accuracy survives");

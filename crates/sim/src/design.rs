@@ -217,21 +217,24 @@ fn pick_measured(workload: &Workload, layout_dim: usize, candidates: [EtConfig; 
     };
     let mut best = None;
     let mut best_cost = u64::MAX;
-    let mut scratch = ansmet_core::EtScratch::new();
     for cfg in candidates {
         let engine = EtEngine::new(data, cfg.clone());
         let mut cost = 0u64;
-        for &(qi, vid, thr) in &probes {
-            let m = crate::etplan::evaluate_chunked_obs(
-                &engine,
-                vid,
-                &workload.queries[qi],
-                &chunks,
-                thr,
-                &mut scratch,
-                &mut ansmet_core::NoopEtObserver,
-            );
-            cost += m.total_lines() as u64;
+        // Probes come in query order: prepare each query once.
+        for probes in probes.chunk_by(|a, b| a.0 == b.0) {
+            let mut et = engine
+                .prepare(&workload.queries[probes[0].0])
+                .expect("workload queries match the dataset");
+            for &(_, vid, thr) in probes {
+                let m = crate::etplan::evaluate_chunked_obs(
+                    &mut et,
+                    vid,
+                    &chunks,
+                    thr,
+                    &mut ansmet_core::NoopEtObserver,
+                );
+                cost += m.total_lines() as u64;
+            }
         }
         if cost < best_cost {
             best_cost = cost;

@@ -4,7 +4,7 @@
 //! exact accuracy (§5.3). Used by the timing replay and by the empirical
 //! layout selection so both see identical fetch behavior.
 
-use ansmet_core::{EtEngine, EtObserver, EtScratch};
+use ansmet_core::{EtObserver, EtQuery};
 
 /// Per-chunk line counts and the sound rejection verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +27,8 @@ impl MultiEval {
     }
 }
 
-/// Evaluate vector `id` against `query` split into `chunks` of dimensions.
+/// Evaluate vector `id` against the prepared query `et` split into
+/// `chunks` of dimensions.
 ///
 /// Each chunk terminates locally against `threshold × |chunk| / dim`; the
 /// summed bounds decide rejection soundly. Chunks whose local bound
@@ -40,18 +41,17 @@ impl MultiEval {
 ///
 /// Panics if chunks are empty or out of range.
 pub fn evaluate_chunked_obs<O: EtObserver>(
-    engine: &EtEngine<'_>,
+    et: &mut EtQuery<'_, '_>,
     id: usize,
-    query: &[f32],
     chunks: &[std::ops::Range<usize>],
     threshold: f32,
-    scratch: &mut EtScratch,
     obs: &mut O,
 ) -> MultiEval {
     assert!(!chunks.is_empty(), "need at least one chunk");
+    let engine = et.engine();
     let dim = engine.dataset().dim();
     if chunks.len() == 1 && chunks[0] == (0..dim) {
-        let c = engine.evaluate_obs(id, query, threshold, scratch, obs);
+        let c = et.evaluate_obs(id, threshold, obs);
         return MultiEval {
             lines: vec![c.lines],
             backup_lines: c.backup_lines,
@@ -70,8 +70,8 @@ pub fn evaluate_chunked_obs<O: EtObserver>(
     let mut local: Vec<Local> = Vec::with_capacity(chunks.len());
     for dims in chunks {
         let share = threshold * (dims.len() as f32 / dim as f32);
-        let c = engine
-            .evaluate_range_obs(id, query, dims.clone(), share, scratch, obs)
+        let c = et
+            .evaluate_range_obs(id, dims.clone(), share, obs)
             .expect("planner chunks are in range");
         bounds_sum += c.final_bound;
         local.push(Local {
@@ -91,8 +91,8 @@ pub fn evaluate_chunked_obs<O: EtObserver>(
             let old_sum = bounds_sum;
             for l in local.iter_mut().filter(|l| l.stopped) {
                 let residual = (threshold as f64 - (old_sum - l.bound)) as f32;
-                let c = engine
-                    .evaluate_range_obs(id, query, l.dims.clone(), residual, scratch, obs)
+                let c = et
+                    .evaluate_range_obs(id, l.dims.clone(), residual, obs)
                     .expect("planner chunks are in range");
                 bounds_sum += c.final_bound - l.bound;
                 l.bound = c.final_bound;
@@ -123,7 +123,7 @@ pub fn evaluate_chunked_obs<O: EtObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ansmet_core::{EtConfig, FetchSchedule, NoopEtObserver};
+    use ansmet_core::{EtConfig, EtEngine, FetchSchedule, NoopEtObserver};
     use ansmet_vecdata::SynthSpec;
 
     #[test]
@@ -134,19 +134,11 @@ mod tests {
             EtConfig::new(FetchSchedule::uniform(data.dtype(), 8)),
         );
         let chunks: Vec<std::ops::Range<usize>> = (0..4).map(|i| i * 240..(i + 1) * 240).collect();
-        let mut scratch = EtScratch::new();
         for q in &queries {
+            let mut et = engine.prepare(q).expect("query matches the data");
             for id in 0..40 {
                 let d = data.distance_to(id, q);
-                let m = evaluate_chunked_obs(
-                    &engine,
-                    id,
-                    q,
-                    &chunks,
-                    d * 0.7,
-                    &mut scratch,
-                    &mut NoopEtObserver,
-                );
+                let m = evaluate_chunked_obs(&mut et, id, &chunks, d * 0.7, &mut NoopEtObserver);
                 if m.pruned {
                     assert!(d >= d * 0.7);
                 } else {
@@ -171,16 +163,8 @@ mod tests {
         let dim = data.dim();
         #[allow(clippy::single_range_in_vec_init)] // one whole-vector chunk is the point
         let chunks = [0..dim];
-        let mut scratch = EtScratch::new();
-        let m = evaluate_chunked_obs(
-            &engine,
-            5,
-            &queries[0],
-            &chunks,
-            f32::INFINITY,
-            &mut scratch,
-            &mut NoopEtObserver,
-        );
+        let mut et = engine.prepare(&queries[0]).expect("query matches the data");
+        let m = evaluate_chunked_obs(&mut et, 5, &chunks, f32::INFINITY, &mut NoopEtObserver);
         let c = engine.evaluate(5, &queries[0], f32::INFINITY);
         assert_eq!(m.lines[0], c.lines);
         assert_eq!(m.pruned, c.pruned);
@@ -197,18 +181,10 @@ mod tests {
         let q = &queries[0];
         let full = engine.config().schedule.total_lines(240) * 4;
         let mut saved = false;
-        let mut scratch = EtScratch::new();
+        let mut et = engine.prepare(q).expect("query matches the data");
         for id in 0..60 {
             let d = data.distance_to(id, q);
-            let m = evaluate_chunked_obs(
-                &engine,
-                id,
-                q,
-                &chunks,
-                d * 0.5,
-                &mut scratch,
-                &mut NoopEtObserver,
-            );
+            let m = evaluate_chunked_obs(&mut et, id, &chunks, d * 0.5, &mut NoopEtObserver);
             if m.pruned && m.total_lines() < full {
                 saved = true;
             }

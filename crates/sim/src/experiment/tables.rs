@@ -175,7 +175,7 @@ pub fn table5(scale: Scale) -> String {
             );
             let mut results = Vec::new();
             for q in &wl2.queries {
-                let mut oracle = EtOracle::new(&engine);
+                let mut oracle = EtOracle::new(&engine, q).expect("query matches the data");
                 let r =
                     wl2.hnsw
                         .as_ref()

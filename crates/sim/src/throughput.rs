@@ -21,7 +21,7 @@
 
 use std::sync::OnceLock;
 
-use ansmet_core::{EtScratch, NoopEtObserver};
+use ansmet_core::NoopEtObserver;
 use ansmet_dram::MemorySystem;
 use ansmet_index::HopKind;
 use ansmet_ndp::{LoadTracker, Partitioner};
@@ -123,14 +123,14 @@ impl QueryPlan {
         };
         let narrow = |n: usize| u16::try_from(n).expect("a chunk's lines fit in u16");
         let offset = |n: usize| u32::try_from(n).expect("a trace's comparisons fit in u32");
-        let mut scratch = EtScratch::new();
+        let mut et = prep.prepare(query);
         for hop in &trace.hops {
             plan.hop_start.push(offset(plan.backup.len()));
             if hop.kind == HopKind::Centroid {
                 continue;
             }
             for e in &hop.evals {
-                let m = prep.evaluate(e, query, &mut scratch, &mut NoopEtObserver);
+                let m = prep.evaluate(e, et.as_mut(), &mut NoopEtObserver);
                 plan.lines.extend(m.lines.iter().map(|&l| narrow(l)));
                 plan.backup.push(narrow(m.backup_lines));
             }

@@ -11,7 +11,7 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
-use ansmet_core::{EtEngine, EtObserver, EtScratch};
+use ansmet_core::{EtEngine, EtObserver, EtQuery};
 use ansmet_dram::{AccessKind, CommandKind, Location, MemorySystem, Port, Request, Response};
 use ansmet_host::CYCLES_PER_LINE;
 use ansmet_index::{Eval, HopKind};
@@ -783,22 +783,29 @@ impl<'a> RunPrep<'a> {
         }
     }
 
-    /// Evaluate early termination for comparison `e` against `query` over
-    /// the prep's chunks: NDP designs evaluate each sub-vector against its
-    /// threshold share ([`crate::etplan`]), CPU designs the whole vector.
-    /// The outcome does not depend on where the vector is placed. `obs`
-    /// sees the ET outcomes.
+    /// Prepare `query` for [`RunPrep::evaluate`]: `None` for a design
+    /// without early termination.
+    pub(crate) fn prepare<'q>(&self, query: &'q [f32]) -> Option<EtQuery<'_, 'q>> {
+        self.engine.as_ref().map(|eng| {
+            eng.prepare(query)
+                .expect("workload queries match the dataset")
+        })
+    }
+
+    /// Evaluate early termination for comparison `e` of the query `et`
+    /// was prepared for ([`RunPrep::prepare`]) over the prep's chunks: NDP
+    /// designs evaluate each sub-vector against its threshold share
+    /// ([`crate::etplan`]), CPU designs the whole vector. The outcome does
+    /// not depend on where the vector is placed. `obs` sees the ET
+    /// outcomes.
     pub(crate) fn evaluate<O: EtObserver>(
         &self,
         e: &Eval,
-        query: &[f32],
-        scratch: &mut EtScratch,
+        et: Option<&mut EtQuery<'_, '_>>,
         obs: &mut O,
     ) -> MultiEval {
-        match &self.engine {
-            Some(eng) => {
-                evaluate_chunked_obs(eng, e.id, query, &self.chunks, e.threshold, scratch, obs)
-            }
+        match et {
+            Some(et) => evaluate_chunked_obs(et, e.id, &self.chunks, e.threshold, obs),
             None => MultiEval {
                 lines: self
                     .chunks
@@ -1216,7 +1223,6 @@ fn run_query_sink<S: TraceSink>(
     let mut loads = LoadTracker::new(config.ndp_units(), prep.partitioner.group_size());
     let mut qs = QueryStats::default();
     let mut req_base: u64 = 0;
-    let mut et_scratch = EtScratch::new();
     let mut batch = BatchScratch::new();
     // Running estimate of per-hop batch latency for adaptive polling,
     // seeded from the sampling-profile expectation and refined with an
@@ -1228,6 +1234,7 @@ fn run_query_sink<S: TraceSink>(
 
     let trace = &workload.traces[qi];
     let query = &workload.queries[qi];
+    let mut et = prep.prepare(query);
     let mut clock = mem.now();
     let mut bd = QueryBreakdown::default();
     // Attribution clock: advances only with `bd` increments, so the
@@ -1276,7 +1283,7 @@ fn run_query_sink<S: TraceSink>(
                 sink: &mut *sink,
                 cycle: att,
             };
-            let m = prep.evaluate(e, query, &mut et_scratch, &mut ob);
+            let m = prep.evaluate(e, et.as_mut(), &mut ob);
             let group = prep.place(e.id, &m.lines, &mut loads);
             let total = m.total_lines();
             if e.accepted {

@@ -77,16 +77,22 @@ fn main() {
         EtConfig::with_prefix(schedule, prefix)
     };
     let engine = EtEngine::new(&data, et_cfg);
-    let mut oracle = EtOracle::new(&engine);
+    let (mut comparisons, mut pruned, mut lines, mut baseline, mut backup) = (0, 0, 0, 0, 0);
     for q in &queries {
+        let mut oracle = EtOracle::new(&engine, q).expect("query matches the data");
         let top = hnsw.search(q, 10, 60, &mut oracle);
         assert_eq!(top.ids().len(), 10);
+        comparisons += oracle.comparisons();
+        pruned += oracle.pruned;
+        lines += oracle.lines;
+        baseline += oracle.baseline_lines();
+        backup += oracle.backup_lines;
     }
     println!(
         "search: {} comparisons, {:.1}% early terminated, {:.1}% of baseline traffic ({} backup lines)",
-        oracle.comparisons(),
-        100.0 * oracle.pruned as f64 / oracle.comparisons() as f64,
-        100.0 * oracle.lines as f64 / oracle.baseline_lines() as f64,
-        oracle.backup_lines,
+        comparisons,
+        100.0 * pruned as f64 / comparisons as f64,
+        100.0 * lines as f64 / baseline as f64,
+        backup,
     );
 }

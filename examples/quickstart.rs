@@ -50,22 +50,28 @@ fn main() {
         &data,
         EtConfig::new(FetchSchedule::simple_heuristic(data.dtype())),
     );
-    let mut et = EtOracle::new(&engine);
+    //    One oracle serves one query.
+    let (mut pruned, mut comparisons, mut lines, mut baseline) = (0, 0, 0, 0);
     for q in &queries {
+        let mut et = EtOracle::new(&engine, q).expect("query matches the data");
         let _ = hnsw.search(q, 10, 80, &mut et);
+        pruned += et.pruned;
+        comparisons += et.comparisons();
+        lines += et.lines;
+        baseline += et.baseline_lines();
     }
     println!(
         "early termination: {} of {} comparisons pruned, {} lines fetched vs {} baseline ({:.1}% saved)",
-        et.pruned,
-        et.comparisons(),
-        et.lines,
-        et.baseline_lines(),
-        100.0 * (1.0 - et.lines as f64 / et.baseline_lines() as f64)
+        pruned,
+        comparisons,
+        lines,
+        baseline,
+        100.0 * (1.0 - lines as f64 / baseline as f64)
     );
 
     // 5. Verify losslessness: both oracles return the same neighbors.
     let mut exact2 = ExactOracle::new(&data);
-    let mut et2 = EtOracle::new(&engine);
+    let mut et2 = EtOracle::new(&engine, &queries[0]).expect("query matches the data");
     let a = hnsw.search(&queries[0], 10, 80, &mut exact2);
     let b = hnsw.search(&queries[0], 10, 80, &mut et2);
     assert_eq!(a.ids(), b.ids(), "early termination must be lossless");

@@ -42,8 +42,8 @@ fn main() {
     let mut bit_oracle_lines = 0u64;
     let mut baseline = 0u64;
     for q in &questions {
-        let mut dim_o = EtOracle::new(&dim_engine);
-        let mut bit_o = EtOracle::new(&bit_engine);
+        let mut dim_o = EtOracle::new(&dim_engine, q).expect("query matches the corpus");
+        let mut bit_o = EtOracle::new(&bit_engine, q).expect("query matches the corpus");
         let mut exact = ExactOracle::new(&corpus);
         let top = hnsw.search(q, 5, 60, &mut exact);
         let a = hnsw.search(q, 5, 60, &mut dim_o);

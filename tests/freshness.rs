@@ -159,7 +159,8 @@ mod properties {
                 let engine = EtEngine::new(idx.data(), layout.et_config());
                 let mut scratch = SearchScratch::new(idx.len());
                 for q in &f.queries {
-                    let mut et = FreshEtOracle::new(&engine, idx.conservative_flags());
+                    let mut et = FreshEtOracle::new(&engine, idx.conservative_flags(), q)
+                        .expect("query matches the index");
                     let with_et = idx.search_with(q, K, EF, &mut et, &mut scratch);
                     let mut exact = ExactOracle::new(idx.data());
                     let without = idx.search_with(q, K, EF, &mut exact, &mut scratch);
@@ -180,7 +181,8 @@ mod properties {
             let engine = EtEngine::new(idx.data(), layout.et_config());
             let mut scratch = SearchScratch::new(idx.len());
             for q in &f.queries {
-                let mut et = FreshEtOracle::new(&engine, idx.conservative_flags());
+                let mut et = FreshEtOracle::new(&engine, idx.conservative_flags(), q)
+                    .expect("query matches the index");
                 let with_et = idx.search_with(q, K, EF, &mut et, &mut scratch);
                 let mut exact = ExactOracle::new(idx.data());
                 let without = idx.search_with(q, K, EF, &mut exact, &mut scratch);

@@ -147,7 +147,8 @@ fn every_forged_field_is_a_typed_error_or_a_servable_index() {
                 .collect();
             let exact = index.search_exact(&q, 5, 32);
             let engine = EtEngine::new(index.data(), snap.layout.et_config());
-            let mut oracle = FreshEtOracle::new(&engine, index.conservative_flags());
+            let mut oracle = FreshEtOracle::new(&engine, index.conservative_flags(), &q)
+                .expect("query matches the index");
             let mut scratch = SearchScratch::new(index.len());
             let et = index.search_with(&q, 5, 32, &mut oracle, &mut scratch);
             assert_eq!(

@@ -22,7 +22,7 @@ fn lossless_across_all_datasets() {
         );
         for q in &queries {
             let mut exact = ExactOracle::new(&data);
-            let mut et = EtOracle::new(&engine);
+            let mut et = EtOracle::new(&engine, q).expect("query matches the data");
             let a = hnsw.search(q, 10, 50, &mut exact);
             let b = hnsw.search(q, 10, 50, &mut et);
             assert_eq!(a.ids(), b.ids(), "dataset {}", data.name());
@@ -59,7 +59,7 @@ fn lossless_with_optimized_layout() {
     let hnsw = Hnsw::build(&data, HnswParams::quick());
     for q in &queries {
         let mut exact = ExactOracle::new(&data);
-        let mut et = EtOracle::new(&engine);
+        let mut et = EtOracle::new(&engine, q).expect("query matches the data");
         let a = hnsw.search(q, 10, 40, &mut exact);
         let b = hnsw.search(q, 10, 40, &mut et);
         assert_eq!(a.ids(), b.ids());
@@ -79,7 +79,7 @@ fn lossless_on_ivf() {
     let nprobe = (ivf.n_lists() / 3).max(1);
     for q in &queries {
         let mut exact = ExactOracle::new(&data);
-        let mut et = EtOracle::new(&engine);
+        let mut et = EtOracle::new(&engine, q).expect("query matches the data");
         let a = ivf.search(q, 10, nprobe, &mut exact);
         let b = ivf.search(q, 10, nprobe, &mut et);
         assert_eq!(a.ids(), b.ids());
@@ -98,11 +98,14 @@ fn smaller_ef_prunes_more() {
         EtConfig::new(FetchSchedule::simple_heuristic(data.dtype())),
     );
     let frac = |ef: usize| -> f64 {
-        let mut o = EtOracle::new(&engine);
+        let (mut lines, mut baseline) = (0, 0);
         for q in &queries {
+            let mut o = EtOracle::new(&engine, q).expect("query matches the data");
             let _ = hnsw.search(q, 10, ef, &mut o);
+            lines += o.lines;
+            baseline += o.baseline_lines();
         }
-        o.lines as f64 / o.baseline_lines() as f64
+        lines as f64 / baseline as f64
     };
     let tight = frac(12);
     let loose = frac(120);
@@ -127,7 +130,7 @@ fn lossless_on_half_precision() {
         let engine = EtEngine::new(&data, EtConfig::new(FetchSchedule::simple_heuristic(dtype)));
         for q in &queries {
             let mut exact = ExactOracle::new(&data);
-            let mut et = EtOracle::new(&engine);
+            let mut et = EtOracle::new(&engine, q).expect("query matches the data");
             let a = hnsw.search(q, 10, 40, &mut exact);
             let b = hnsw.search(q, 10, 40, &mut et);
             assert_eq!(a.ids(), b.ids(), "dtype {dtype}");
